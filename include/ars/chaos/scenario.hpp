@@ -14,6 +14,7 @@
 #include "ars/chaos/faultplan.hpp"
 #include "ars/chaos/injector.hpp"
 #include "ars/chaos/invariants.hpp"
+#include "ars/sim/phased_txn.hpp"
 
 namespace ars::chaos {
 
@@ -25,14 +26,14 @@ struct ScenarioOptions {
   double horizon = 700.0;
   std::uint64_t seed = 1;
   FaultPlan plan;
-  /// Deliberately breaks the rescheduler (the lease sweeper never fires) to
-  /// prove the invariant checker catches a broken build — crash faults then
-  /// strand their applications forever.
-  bool sabotage_lease_expiry = false;
-  /// Deliberately breaks the migration transaction (aborts skip the
-  /// roll-back to source-side execution) to prove the no-lost-process
-  /// invariant catches a broken protocol.
-  bool sabotage_migration_rollback = false;
+  /// Deliberately breaks one protocol to prove the invariant checker
+  /// catches it: kLeaseExpiry (the lease sweeper never fires, so crashed
+  /// applications strand), kMigrationRollback (aborts skip the roll-back to
+  /// the source: no-lost-process), kResizeRollback (failed redistributions
+  /// leak their spawned ranks: no-lost-rank), kTornCheckpoint (an aborted
+  /// write replaces the previous checkpoint: no-torn-checkpoint).  The
+  /// phase kernel and the checkpoint store read it.
+  sim::Sabotage sabotage = sim::Sabotage::kNone;
   /// CPU hog on ws1 so the run exercises real migrations, not just faults.
   bool with_load = true;
   /// Copy the full JSON-lines trace into the report (hashing is always on).
@@ -49,9 +50,6 @@ struct ScenarioOptions {
   /// > 0 also enables the registry's resize planner, so the run exercises
   /// grow/shrink transactions that resize-window faults can hit.
   int malleable_jobs = 0;
-  /// Deliberately leaks freshly spawned ranks on a failed redistribution
-  /// (no rollback) to prove the no-lost-rank invariant catches it.
-  bool sabotage_resize_rollback = false;
   /// Iterative pre-copy migration: the apps carry a block-structured state
   /// large enough for multi-round pre-copy (plus an entry erased mid-run to
   /// exercise tombstones), and the middleware ships dirty deltas in the
@@ -69,10 +67,6 @@ struct ScenarioOptions {
   double ckpt_aggregate_mbps = 0.0;
   /// Opaque state each app drags along (MB): sizes the checkpoint writes.
   double ckpt_state_mb = 0.0;
-  /// Deliberately breaks the store's atomic shadow-commit (an aborted
-  /// write replaces the previous checkpoint, torn) to prove the
-  /// no-torn-checkpoint invariant catches it.
-  bool sabotage_torn_checkpoint = false;
 };
 
 struct ScenarioReport {

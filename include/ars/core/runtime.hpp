@@ -74,7 +74,7 @@ struct ClusterConfig {
   /// events (installs the global LogBridge — at most one runtime at a time
   /// should enable this).
   bool forward_logs_to_trace = false;
-  /// Malleable-job engine options (timeouts, merge overhead, sabotage).
+  /// Malleable-job engine options (timeouts, merge overhead).
   malleable::MalleableEngine::Options malleable{};
   /// Let the registry's sweep plan expand/shrink commands for registered
   /// malleable jobs from the host-state indexes.

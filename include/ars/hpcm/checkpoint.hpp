@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "ars/hpcm/stateregistry.hpp"
+#include "ars/sim/phased_txn.hpp"
 
 namespace ars::hpcm {
 
@@ -58,10 +59,12 @@ class CheckpointStore {
   bool commit_shadow(const std::string& process, double committed_at);
 
   /// Drop an in-flight write (crash, preemption): the previous complete
-  /// checkpoint stays the restorable one.  With `sabotage_torn` the partial
-  /// write replaces it anyway, marked incomplete — the storage-bug model
-  /// the chaos no-torn-checkpoint invariant exists to catch.
-  bool abort_shadow(const std::string& process, bool sabotage_torn = false);
+  /// checkpoint stays the restorable one.  Under Sabotage::kTornCheckpoint
+  /// the partial write replaces it anyway, marked incomplete — the
+  /// storage-bug model the chaos no-torn-checkpoint invariant exists to
+  /// catch.  Every other value is a clean abort.
+  bool abort_shadow(const std::string& process,
+                    sim::Sabotage sabotage = sim::Sabotage::kNone);
 
   [[nodiscard]] const Checkpoint* latest(const std::string& process) const;
   [[nodiscard]] bool shadow_pending(const std::string& process) const {

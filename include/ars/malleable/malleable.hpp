@@ -88,19 +88,11 @@ struct ResizeOutcome {
   obs::TraceCtx trace;
 };
 
-/// Phase-entry notification for fault injectors and tests.
-struct ResizePhaseEvent {
-  std::string job;
-  ResizeVerb verb = ResizeVerb::kExpand;
-  std::string phase;  // "plan" | "spawn" | "redistribute" | "commit"
-  double at = 0.0;
-  /// Spawn targets (expand) or hosts being vacated (shrink) — fault
-  /// injectors aim at these.
-  std::vector<std::string> hosts;
-};
-
 /// Runs malleable jobs and their resize transactions.  One engine per
-/// cluster; jobs are identified by their spec name.
+/// cluster; jobs are identified by their spec name.  Resize phases ("plan",
+/// "spawn", "redistribute", "commit") run on the MPI system's phase kernel
+/// (sim/phased_txn.hpp): its listener sees them as verb "expand"/"shrink"
+/// with the spawn targets or vacated hosts as targets.
 class MalleableEngine {
  public:
   struct Options {
@@ -108,16 +100,11 @@ class MalleableEngine {
     double redistribute_timeout = 30.0;
     /// Charged at commit for the intercommunicator merge, per DPM round.
     double merge_overhead_per_round = 0.05;
-    /// Chaos: leave freshly spawned ranks alive after a failed
-    /// redistribution instead of rolling them back (must trip the
-    /// `no-lost-rank` invariant).
-    bool sabotage_skip_resize_rollback = false;
     obs::Tracer* tracer = nullptr;
     obs::MetricsRegistry* metrics = nullptr;
   };
 
   using OutcomeListener = std::function<void(const ResizeOutcome&)>;
-  using PhaseListener = std::function<void(const ResizePhaseEvent&)>;
 
   MalleableEngine(mpi::MpiSystem& mpi, net::Network& network);
   MalleableEngine(mpi::MpiSystem& mpi, net::Network& network,
@@ -163,13 +150,10 @@ class MalleableEngine {
   /// Ground truth for the chaos no-lost-rank invariant: ranks found alive
   /// but outside their job's membership at the instant a terminal resize
   /// outcome was reported.  Always 0 for a correct protocol; the
-  /// sabotage_skip_resize_rollback knob makes it count.
+  /// resize-rollback sabotage makes it count.
   [[nodiscard]] long long ghost_ranks() const noexcept { return ghost_ranks_; }
 
   // -- chaos hooks ----------------------------------------------------------
-  /// Stall the named phase ("spawn" | "redistribute") by `seconds` at entry
-  /// (drives the phase into its timeout).  Zero clears the stall.
-  void set_phase_stall(const std::string& phase, double seconds);
   /// Kill an in-flight spawn toward `host` and abort the transaction with
   /// reason "no-capacity".  Returns false when no matching spawn is active.
   bool fail_resize_target(const std::string& job, const std::string& host);
@@ -179,9 +163,6 @@ class MalleableEngine {
 
   void set_outcome_listener(OutcomeListener listener) {
     outcome_listener_ = std::move(listener);
-  }
-  void set_phase_listener(PhaseListener listener) {
-    phase_listener_ = std::move(listener);
   }
 
   [[nodiscard]] sim::Engine& engine() const { return mpi_->engine(); }
@@ -203,7 +184,8 @@ class MalleableEngine {
   [[nodiscard]] sim::Task<> spawn_phase(std::shared_ptr<Job> job,
                                         mpi::Proc* proc);
   [[nodiscard]] sim::Task<> redistribute_phase(std::shared_ptr<Job> job);
-  [[nodiscard]] sim::Task<bool> await_phase(Job& job, double timeout_seconds);
+  /// Open the job's resize transaction from a queued request.
+  void begin_tx(Job& job, PendingResize request);
 
   void repair_membership(Job& job);
   void apply_assignment(Job& job);
@@ -211,7 +193,7 @@ class MalleableEngine {
   void teardown_job(Job& job, const std::string& reason);
   void finish_resize(Job& job, const std::string& outcome,
                      const std::string& reason, const std::string& phase);
-  void notify_phase(Job& job, const std::string& phase);
+  void enter_phase(Job& job, const char* phase);
   [[nodiscard]] int live_workers(const Job& job) const;
   [[nodiscard]] std::string validate_resize(const Job& job,
                                             const ResizeTx& tx) const;
@@ -224,9 +206,7 @@ class MalleableEngine {
   std::map<std::string, std::shared_ptr<Job>> jobs_;
   std::vector<ResizeOutcome> history_;
   long long ghost_ranks_ = 0;
-  std::map<std::string, double> phase_stalls_;
   OutcomeListener outcome_listener_;
-  PhaseListener phase_listener_;
 };
 
 /// Balanced contiguous block partition: rank r of n owns

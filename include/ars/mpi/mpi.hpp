@@ -28,6 +28,7 @@
 #include "ars/host/host.hpp"
 #include "ars/net/network.hpp"
 #include "ars/sim/channel.hpp"
+#include "ars/sim/phased_txn.hpp"
 #include "ars/sim/task.hpp"
 #include "ars/sim/wait.hpp"
 
@@ -446,6 +447,10 @@ class MpiSystem {
   [[nodiscard]] sim::Engine& engine() const noexcept { return *engine_; }
   [[nodiscard]] net::Network& network() const noexcept { return *network_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
+  /// The phased-transaction kernel every reconfiguration of this system's
+  /// processes runs on (hpcm migration, malleable resize): one phase-entry
+  /// listener, one stall table, one sabotage switch.
+  [[nodiscard]] sim::PhaseKernel& phases() noexcept { return phases_; }
   [[nodiscard]] std::size_t live_procs() const noexcept {
     return procs_.size();
   }
@@ -505,6 +510,7 @@ class MpiSystem {
   sim::Engine* engine_;
   net::Network* network_;
   Options options_;
+  sim::PhaseKernel phases_;
   std::map<RankId, std::unique_ptr<Proc>> procs_;
   std::map<RankId, sim::Fiber> fibers_;  // live app fibers, killed on teardown
   std::map<RankId, std::unique_ptr<sim::Trigger>> exit_triggers_;

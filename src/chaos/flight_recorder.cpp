@@ -20,9 +20,10 @@ JsonValue scenario_to_json(const ScenarioOptions& options) {
                    static_cast<double>(options.checkpoint_every));
   scenario.emplace("horizon", options.horizon);
   scenario.emplace("seed", static_cast<double>(options.seed));
-  scenario.emplace("sabotage_lease_expiry", options.sabotage_lease_expiry);
+  scenario.emplace("sabotage_lease_expiry",
+                   options.sabotage == sim::Sabotage::kLeaseExpiry);
   scenario.emplace("sabotage_migration_rollback",
-                   options.sabotage_migration_rollback);
+                   options.sabotage == sim::Sabotage::kMigrationRollback);
   scenario.emplace("with_load", options.with_load);
   scenario.emplace("legacy_scan", options.legacy_scan);
   scenario.emplace("audit_decisions", options.audit_decisions);
@@ -30,7 +31,7 @@ JsonValue scenario_to_json(const ScenarioOptions& options) {
   scenario.emplace("malleable_jobs",
                    static_cast<double>(options.malleable_jobs));
   scenario.emplace("sabotage_resize_rollback",
-                   options.sabotage_resize_rollback);
+                   options.sabotage == sim::Sabotage::kResizeRollback);
   scenario.emplace("precopy", options.precopy);
   return JsonValue{std::move(scenario)};
 }
@@ -59,10 +60,6 @@ support::Expected<ScenarioOptions> scenario_from_json(const JsonValue& value) {
   options.horizon = number("horizon", options.horizon);
   options.seed = static_cast<std::uint64_t>(
       number("seed", static_cast<double>(options.seed)));
-  options.sabotage_lease_expiry =
-      boolean("sabotage_lease_expiry", options.sabotage_lease_expiry);
-  options.sabotage_migration_rollback = boolean(
-      "sabotage_migration_rollback", options.sabotage_migration_rollback);
   options.with_load = boolean("with_load", options.with_load);
   options.legacy_scan = boolean("legacy_scan", options.legacy_scan);
   options.audit_decisions =
@@ -71,8 +68,17 @@ support::Expected<ScenarioOptions> scenario_from_json(const JsonValue& value) {
       boolean("delta_heartbeats", options.delta_heartbeats);
   options.malleable_jobs = static_cast<int>(
       number("malleable_jobs", options.malleable_jobs));
-  options.sabotage_resize_rollback = boolean(
-      "sabotage_resize_rollback", options.sabotage_resize_rollback);
+  // One sabotage at a time; the bundle keeps the original per-kind keys.
+  for (const auto& [key, sabotage] :
+       {std::pair{"sabotage_lease_expiry", sim::Sabotage::kLeaseExpiry},
+        std::pair{"sabotage_migration_rollback",
+                  sim::Sabotage::kMigrationRollback},
+        std::pair{"sabotage_resize_rollback",
+                  sim::Sabotage::kResizeRollback}}) {
+    if (boolean(key, false)) {
+      options.sabotage = sabotage;
+    }
+  }
   // Bundles recorded before pre-copy existed have no such key; the default
   // (false) preserves their byte-identical replays.
   options.precopy = boolean("precopy", options.precopy);

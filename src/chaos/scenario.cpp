@@ -109,7 +109,8 @@ ScenarioReport run_scenario(const ScenarioOptions& options) {
   // The sabotage knob disables lease expiry in effect (the sweeper never
   // sees a stale lease), so crashed hosts' work is never relaunched — the
   // checker must catch the stranded applications.
-  config.lease_ttl = options.sabotage_lease_expiry ? 1.0e18 : 25.0;
+  config.lease_ttl =
+      options.sabotage == sim::Sabotage::kLeaseExpiry ? 1.0e18 : 25.0;
   config.monitor_reregister_period = 20.0;
   config.registry_legacy_scan = options.legacy_scan;
   config.registry_audit = options.audit_decisions
@@ -121,7 +122,6 @@ ScenarioReport run_scenario(const ScenarioOptions& options) {
   config.hpcm.init_timeout = 8.0;
   config.hpcm.eager_timeout = 20.0;
   config.hpcm.ack_timeout = 8.0;
-  config.hpcm.sabotage_skip_rollback = options.sabotage_migration_rollback;
   config.hpcm.precopy = options.precopy;
   // Malleable jobs: the resize planner grows them into slack and shrinks
   // them off pressure; tight transaction timeouts so resize-window stalls
@@ -130,16 +130,14 @@ ScenarioReport run_scenario(const ScenarioOptions& options) {
   config.resize_cooldown = 20.0;
   config.malleable.spawn_timeout = 12.0;
   config.malleable.redistribute_timeout = 25.0;
-  config.malleable.sabotage_skip_resize_rollback =
-      options.sabotage_resize_rollback;
   // Checkpoint scheduling (DESIGN.md §17): checkpoints route through the
   // shared store; "cooperative" additionally turns on the registry's I/O
   // scheduler (the runtime wires the request path from the same knob).
   config.hpcm.ckpt_strategy = options.ckpt_strategy;
   config.hpcm.ckpt_mtbf = options.ckpt_mtbf;
   config.hpcm.ckpt_aggregate_bps = options.ckpt_aggregate_mbps * 1.0e6;
-  config.hpcm.sabotage_torn_commit = options.sabotage_torn_checkpoint;
   core::ReschedulerRuntime runtime{config};
+  runtime.mpi().phases().set_sabotage(options.sabotage);
   runtime.start_rescheduler();
 
   // Staggered application launches, derived from the seed alone.

@@ -26,7 +26,7 @@ bool CheckpointStore::commit_shadow(const std::string& process,
 }
 
 bool CheckpointStore::abort_shadow(const std::string& process,
-                                   bool sabotage_torn) {
+                                   sim::Sabotage sabotage) {
   const auto it = shadows_.find(process);
   if (it == shadows_.end()) {
     return false;
@@ -34,7 +34,7 @@ bool CheckpointStore::abort_shadow(const std::string& process,
   Checkpoint checkpoint = std::move(it->second);
   shadows_.erase(it);
   ++aborted_shadows_;
-  if (sabotage_torn) {
+  if (sabotage == sim::Sabotage::kTornCheckpoint) {
     // The broken-store model: the partial write replaced the previous
     // checkpoint in place (no shadow/rename).  Restoring it is the bug.
     checkpoint.complete = false;

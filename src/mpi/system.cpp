@@ -21,7 +21,10 @@ MpiSystem::MpiSystem(sim::Engine& engine, net::Network& network)
 
 MpiSystem::MpiSystem(sim::Engine& engine, net::Network& network,
                      Options options)
-    : engine_(&engine), network_(&network), options_(options) {}
+    : engine_(&engine),
+      network_(&network),
+      options_(options),
+      phases_(engine) {}
 
 MpiSystem::~MpiSystem() {
   // Kill remaining application fibers before the ports/procs they may be

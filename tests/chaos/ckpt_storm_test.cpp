@@ -64,7 +64,7 @@ TEST(CkptStormTest, TornCommitSabotageIsCaughtByTheChecker) {
   ScenarioOptions options = storm_options(4, "periodic");
   options.ckpt_state_mb = 100.0;
   options.ckpt_aggregate_mbps = 10.0;
-  options.sabotage_torn_checkpoint = true;
+  options.sabotage = sim::Sabotage::kTornCheckpoint;
   const ScenarioReport report = run_scenario(options);
   ASSERT_FALSE(report.ok()) << "sabotaged store slipped past the checker";
   EXPECT_GT(report.torn_restores, 0u);

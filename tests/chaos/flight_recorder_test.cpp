@@ -28,7 +28,7 @@ ScenarioOptions sabotaged_options() {
   options.plan.migration_dest_crash(/*at=*/50.0, /*until=*/400.0, "init",
                                     /*probability=*/1.0,
                                     /*reboot_after=*/30.0);
-  options.sabotage_migration_rollback = true;
+  options.sabotage = sim::Sabotage::kMigrationRollback;
   return options;
 }
 

@@ -83,7 +83,7 @@ TEST(MigrationFaultSuiteTest, SabotagedRollbackTripsNoLostProcess) {
   options.seed = 9;
   options.horizon = 900.0;
   options.plan = dest_crash_plan("init");
-  options.sabotage_migration_rollback = true;
+  options.sabotage = sim::Sabotage::kMigrationRollback;
   const ScenarioReport report = run_scenario(options);
   ASSERT_FALSE(report.ok());
   bool lost_process = false;

@@ -77,7 +77,7 @@ TEST(ResizeFaultTest, SabotageSkipRollbackTripsNoLostRank) {
   // Seed 1 drives a redistribute-stall rollback; with the sabotage knob
   // the spawned ranks leak and the invariant must catch it.
   ScenarioOptions options = storm_options(1);
-  options.sabotage_resize_rollback = true;
+  options.sabotage = sim::Sabotage::kResizeRollback;
   const ScenarioReport report = run_scenario(options);
   ASSERT_FALSE(report.ok());
   EXPECT_GT(report.ghost_ranks, 0);
@@ -94,7 +94,7 @@ TEST(ResizeFaultTest, SabotageSkipRollbackTripsNoLostRank) {
 
 TEST(ResizeFaultTest, FlightRecorderBundleReproducesStormFailure) {
   ScenarioOptions options = storm_options(1);
-  options.sabotage_resize_rollback = true;
+  options.sabotage = sim::Sabotage::kResizeRollback;
   const ScenarioReport report = run_scenario(options);
   ASSERT_FALSE(report.ok());
   const obs::JsonValue bundle = make_bundle(

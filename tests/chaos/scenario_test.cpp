@@ -57,7 +57,7 @@ TEST(ChaosScenarioTest, SabotagedLeaseExpiryIsCaughtByTheChecker) {
   ScenarioOptions options;
   options.seed = 1;
   options.plan = *FaultPlan::builtin("churn");
-  options.sabotage_lease_expiry = true;
+  options.sabotage = sim::Sabotage::kLeaseExpiry;
   const ScenarioReport report = run_scenario(options);
   ASSERT_FALSE(report.ok());
   bool unfinished_app = false;

@@ -151,7 +151,7 @@ TEST(CheckpointStoreTest, SabotagedAbortCommitsTheTornPartial) {
   staged.taken_at = 5.0;
   store.begin_shadow(staged);
 
-  EXPECT_TRUE(store.abort_shadow("a", /*sabotage_torn=*/true));
+  EXPECT_TRUE(store.abort_shadow("a", sim::Sabotage::kTornCheckpoint));
   ASSERT_NE(store.latest("a"), nullptr);
   EXPECT_DOUBLE_EQ(store.latest("a")->taken_at, 5.0);
   EXPECT_FALSE(store.latest("a")->complete);

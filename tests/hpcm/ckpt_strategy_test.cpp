@@ -188,7 +188,7 @@ TEST_F(CkptStrategyTest, SabotagedCommitRestoresTornCheckpoint) {
   options.checkpoint_store_bps = 1.0e6;
   options.ckpt_mtbf = 1.0;  // aggressive: first checkpoint due early
   options.ckpt_min_interval = 5.0;
-  options.sabotage_torn_commit = true;
+  mpi_.phases().set_sabotage(sim::Sabotage::kTornCheckpoint);
   MigrationEngine& hpcm = make_hpcm(options);
   StrategyApp app;
   app.iterations = 30;

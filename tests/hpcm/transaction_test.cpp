@@ -97,14 +97,16 @@ struct Cluster {
   /// scheduled as a zero-delay event (plus `extra_delay` for post-commit
   /// cases that want to hit the middle of the background restore).
   void crash_dest_at_phase(const std::string& phase, double extra_delay = 0.0) {
-    hpcm.set_phase_listener([this, phase, extra_delay](const PhaseEvent& e) {
-      if (e.phase != phase || crash_armed_) {
-        return;
-      }
-      crash_armed_ = true;
-      engine.schedule_after(extra_delay,
-                            [this, dest = e.destination] { hpcm.crash_host(dest); });
-    });
+    mpi.phases().set_listener(
+        [this, phase, extra_delay](const sim::PhaseEntry& e) {
+          if (e.phase != phase || crash_armed_) {
+            return;
+          }
+          crash_armed_ = true;
+          engine.schedule_after(extra_delay, [this, dest = e.targets.front()] {
+            hpcm.crash_host(dest);
+          });
+        });
   }
 
   Engine engine;
@@ -406,9 +408,8 @@ TEST(TransactionTest, PostCommitDestCrashRollsBackToRelaunch) {
 // ---- sabotage knob: prove the rollback is load-bearing ------------------
 
 TEST(TransactionTest, SabotageSkipRollbackLosesTheProcess) {
-  MigrationEngine::Options options;
-  options.sabotage_skip_rollback = true;
-  Cluster c({}, options);
+  Cluster c;
+  c.mpi.phases().set_sabotage(sim::Sabotage::kMigrationRollback);
   CounterApp app;
   c.crash_dest_at_phase("init");
   const mpi::RankId id = c.hpcm.launch("ws1", app.make(), "counter", schema());
