@@ -352,5 +352,57 @@ TEST_F(OutcomeFeedbackTest, SilentOutcomeDebitExpiresAfterTtl) {
   EXPECT_EQ(gauge_value("registry.placements_inflight"), 0.0);
 }
 
+TEST_F(OutcomeFeedbackTest,
+       ReregisteredHostThatDiesBeforeItsFirstUpdateRelaunches) {
+  // The relaunch hole: a host whose lease expired re-registers, stays
+  // `unavailable` until its first fresh UpdateMsg — which is lost — and
+  // then crashes with a process on its books.  The re-registration gives
+  // it a lease again, so the silence must expire it a second time.
+  Registry::Config config;
+  config.auto_restart = true;
+  config.lease_ttl = 25.0;
+  build(config);
+  for (const char* h : {"ws1", "ws2", "ws3"}) {
+    commanders_[h] = &net_.bind(h, 6000);
+  }
+  register_host("ws1");
+  register_host("ws2");
+  register_host("ws3");
+  const auto keep_alive = [&](double until) {
+    while (engine_.now() + 4.0 <= until) {
+      engine_.run_until(engine_.now() + 4.0);
+      heartbeat("ws1");
+      heartbeat("ws3");
+    }
+    engine_.run_until(until);
+  };
+  // ws2 goes silent: first expiry, nothing on its books yet.
+  keep_alive(40.0);
+  ASSERT_EQ(registry_->host_state("ws2"), SystemState::kUnavailable);
+  ASSERT_EQ(counter_value("registry.lease_expirations"), 1.0);
+  // Reboot: RegisterMsg plus the process it now runs; the UpdateMsg that
+  // would re-admit it is dropped, so it stays unavailable.
+  xmlproto::RegisterMsg reg;
+  reg.info.host = "ws2";
+  reg.info.cpu_speed = 1.0;
+  reg.commander_port = 6000;
+  post("ws2", reg);
+  register_process("ws2", 200, "app");
+  keep_alive(45.0);
+  EXPECT_EQ(registry_->host_state("ws2"), SystemState::kUnavailable);
+  EXPECT_TRUE(commands<xmlproto::RelaunchCmd>().empty());
+  // ws2 crashes before any status lands: the lease taken at the
+  // re-registration lapses and the booked process is relaunched.
+  keep_alive(80.0);
+  EXPECT_EQ(counter_value("registry.lease_expirations"), 2.0);
+  const auto relaunches = commands<xmlproto::RelaunchCmd>();
+  ASSERT_GE(relaunches.size(), 1U);
+  EXPECT_EQ(relaunches[0].second.process_name, "app");
+  EXPECT_NE(relaunches[0].first, "ws2");
+  // One expiry per lease: a silent, unavailable host is not expired again.
+  keep_alive(150.0);
+  EXPECT_EQ(counter_value("registry.lease_expirations"), 2.0);
+}
+
 }  // namespace
 }  // namespace ars::registry
