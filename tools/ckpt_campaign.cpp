@@ -383,7 +383,8 @@ int main(int argc, char** argv) {
   int coop_losses = 0;
   for (const double mtbf : options.mtbfs) {
     for (const int apps : options.apps) {
-      const CellResult* periodic_cell = nullptr;
+      // An index, not a pointer: push_back below may reallocate `cells`.
+      std::optional<std::size_t> periodic_cell;
       for (const std::string& strategy : strategies) {
         std::cout << "mtbf " << mtbf << "s, " << apps << " jobs, "
                   << strategy << ": " << options.seeds << " seeds from "
@@ -399,10 +400,10 @@ int main(int argc, char** argv) {
         total_mismatches += cell.replay_mismatches;
         cells.push_back(std::move(cell));
         if (strategy == "periodic") {
-          periodic_cell = &cells.back();
-        } else if (periodic_cell != nullptr) {
+          periodic_cell = cells.size() - 1;
+        } else if (periodic_cell.has_value()) {
           const double saved =
-              periodic_cell->total_waste_s - cells.back().total_waste_s;
+              cells[*periodic_cell].total_waste_s - cells.back().total_waste_s;
           const bool win = saved > 0.0;
           std::cout << "  cooperative vs periodic: "
                     << (win ? "saves " : "LOSES ")
