@@ -183,6 +183,67 @@ void BM_XmlDecodeHeartbeat(benchmark::State& state) {
 }
 BENCHMARK(BM_XmlDecodeHeartbeat);
 
+// A delta heartbeat as monitors send it: one lease renewal per batch
+// (update_batch is 56 % of the 20k-host fleet's messages).
+xmlproto::UpdateBatchMsg sample_renewal() {
+  xmlproto::UpdateBatchMsg m;
+  m.renewals.push_back({"h-12345", "busy", 280.0});
+  return m;
+}
+
+// Host registration (22 % of the fleet's messages).
+xmlproto::RegisterMsg sample_register() {
+  xmlproto::RegisterMsg m;
+  m.info.host = "h-12345";
+  m.info.ip = "10.0.48.57";
+  m.info.os = "SunOS 5.8";
+  m.info.memory_bytes = 1ULL << 30;
+  m.info.disk_bytes = 20ULL << 30;
+  m.info.cpu_speed = 1.0;
+  m.info.byte_order = "big";
+  m.monitor_port = 5001;
+  m.commander_port = 5002;
+  return m;
+}
+
+void BM_XmlEncodeRenewal(benchmark::State& state) {
+  const xmlproto::ProtocolMessage message{sample_renewal()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xmlproto::encode(message));
+  }
+  note_case(state, "BM_XmlEncodeRenewal");
+}
+BENCHMARK(BM_XmlEncodeRenewal);
+
+void BM_XmlDecodeRenewal(benchmark::State& state) {
+  const std::string wire = xmlproto::encode(sample_renewal());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xmlproto::decode(wire));
+  }
+  state.SetBytesProcessed(state.iterations() * wire.size());
+  note_case(state, "BM_XmlDecodeRenewal");
+}
+BENCHMARK(BM_XmlDecodeRenewal);
+
+void BM_XmlEncodeRegister(benchmark::State& state) {
+  const xmlproto::ProtocolMessage message{sample_register()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xmlproto::encode(message));
+  }
+  note_case(state, "BM_XmlEncodeRegister");
+}
+BENCHMARK(BM_XmlEncodeRegister);
+
+void BM_XmlDecodeRegister(benchmark::State& state) {
+  const std::string wire = xmlproto::encode(sample_register());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xmlproto::decode(wire));
+  }
+  state.SetBytesProcessed(state.iterations() * wire.size());
+  note_case(state, "BM_XmlDecodeRegister");
+}
+BENCHMARK(BM_XmlDecodeRegister);
+
 void BM_StateRegistryEncode(benchmark::State& state) {
   const std::size_t doubles = static_cast<std::size_t>(state.range(0));
   hpcm::StateRegistry reg;

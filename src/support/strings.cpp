@@ -4,25 +4,16 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace ars::support {
-
-namespace {
-
-bool is_space(char c) noexcept {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
-
-}  // namespace
 
 std::string_view trim(std::string_view text) noexcept {
   std::size_t begin = 0;
   std::size_t end = text.size();
-  while (begin < end && is_space(text[begin])) {
+  while (begin < end && is_ascii_space(text[begin])) {
     ++begin;
   }
-  while (end > begin && is_space(text[end - 1])) {
+  while (end > begin && is_ascii_space(text[end - 1])) {
     --end;
   }
   return text.substr(begin, end - begin);
@@ -46,11 +37,11 @@ std::vector<std::string> split_whitespace(std::string_view text) {
   std::vector<std::string> fields;
   std::size_t i = 0;
   while (i < text.size()) {
-    while (i < text.size() && is_space(text[i])) {
+    while (i < text.size() && is_ascii_space(text[i])) {
       ++i;
     }
     const std::size_t start = i;
-    while (i < text.size() && !is_space(text[i])) {
+    while (i < text.size() && !is_ascii_space(text[i])) {
       ++i;
     }
     if (i > start) {
@@ -111,6 +102,22 @@ std::optional<std::int64_t> parse_int(std::string_view text) {
   return value;
 }
 
+std::optional<std::uint64_t> parse_uint(std::string_view text) {
+  text = trim(text);
+  if (text.empty()) {
+    return std::nullopt;
+  }
+  // from_chars never accepts a sign for an unsigned target, so "-1" is
+  // rejected rather than wrapped to 2^64-1.
+  std::uint64_t value = 0;
+  const auto* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::string join(const std::vector<std::string>& pieces,
                  std::string_view separator) {
   std::string out;
@@ -123,10 +130,44 @@ std::string join(const std::vector<std::string>& pieces,
   return out;
 }
 
+void append_fixed(std::string& out, double value, int decimals) {
+  if (decimals < 0) {
+    decimals = 6;
+  }
+  // The longest fixed form of a finite double: sign, 309 integer digits,
+  // the point, then the decimals.
+  constexpr int kMaxIntegerPart = 1 + 309 + 1;
+  constexpr int kStackDecimals = 64;
+  if (decimals <= kStackDecimals) {
+    char buffer[kMaxIntegerPart + kStackDecimals];
+    const auto result = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                      std::chars_format::fixed, decimals);
+    out.append(buffer, result.ptr);
+    return;
+  }
+  std::string buffer(static_cast<std::size_t>(kMaxIntegerPart + decimals), '\0');
+  const auto result =
+      std::to_chars(buffer.data(), buffer.data() + buffer.size(), value,
+                    std::chars_format::fixed, decimals);
+  out.append(buffer.data(), result.ptr);
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
+  out.append(buffer, result.ptr);
+}
+
+void append_uint(std::string& out, std::uint64_t value) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
+  out.append(buffer, result.ptr);
+}
+
 std::string format_fixed(double value, int decimals) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", decimals, value);
-  return buffer;
+  std::string out;
+  append_fixed(out, value, decimals);
+  return out;
 }
 
 }  // namespace ars::support

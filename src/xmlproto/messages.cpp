@@ -1,751 +1,784 @@
 #include "ars/xmlproto/messages.hpp"
 
-#include <functional>
-#include <map>
+#include <array>
+#include <optional>
+#include <span>
 
 #include "ars/support/strings.hpp"
 #include "ars/xmlproto/xml.hpp"
 
 namespace ars::xmlproto {
 
+using support::Error;
 using support::Expected;
 using support::make_error;
-using support::parse_double;
-using support::parse_int;
 
 namespace {
 
-// ---- field helpers --------------------------------------------------------
+/// Wire type tags, in ProtocolMessage alternative order.
+constexpr std::array<std::string_view, std::variant_size_v<ProtocolMessage>>
+    kTypeNames = {
+        "register",          "update",
+        "update_batch",      "consult",
+        "migrate",           "ack",
+        "process_register",  "process_deregister",
+        "health",            "recommend",
+        "evacuate",          "relaunch",
+        "migration_outcome", "resize",
+        "resize_outcome",    "ckpt_io_request",
+        "ckpt_io_grant",
+};
 
-void put(XmlNode& parent, const std::string& name, const std::string& value) {
-  parent.add_child(name).set_text(value);
-}
-void put(XmlNode& parent, const std::string& name, double value) {
-  put(parent, name, support::format_fixed(value, 6));
-}
-void put(XmlNode& parent, const std::string& name, int value) {
-  put(parent, name, std::to_string(value));
-}
-void put(XmlNode& parent, const std::string& name, std::uint64_t value) {
-  put(parent, name, std::to_string(value));
-}
-void put(XmlNode& parent, const std::string& name, bool value) {
-  put(parent, name, std::string(value ? "true" : "false"));
-}
+// ---- encoding ---------------------------------------------------------------
 
-Expected<std::string> need_text(const XmlNode& node, const std::string& name) {
-  const XmlNode* c = node.child(name);
-  if (c == nullptr) {
-    return make_error("proto_decode", "missing field <" + name + "> in <" +
-                                          node.name() + ">");
-  }
-  return c->text();
-}
-
-Expected<double> need_double(const XmlNode& node, const std::string& name) {
-  auto text = need_text(node, name);
-  if (!text.has_value()) {
-    return text.error();
-  }
-  const auto value = parse_double(*text);
-  if (!value.has_value()) {
-    return make_error("proto_decode",
-                      "field <" + name + "> is not a number: " + *text);
-  }
-  return *value;
-}
-
-Expected<std::int64_t> need_int(const XmlNode& node, const std::string& name) {
-  auto text = need_text(node, name);
-  if (!text.has_value()) {
-    return text.error();
-  }
-  const auto value = parse_int(*text);
-  if (!value.has_value()) {
-    return make_error("proto_decode",
-                      "field <" + name + "> is not an integer: " + *text);
-  }
-  return *value;
-}
-
-Expected<bool> need_bool(const XmlNode& node, const std::string& name) {
-  auto text = need_text(node, name);
-  if (!text.has_value()) {
-    return text.error();
-  }
-  if (*text == "true") return true;
-  if (*text == "false") return false;
-  return make_error("proto_decode",
-                    "field <" + name + "> is not a boolean: " + *text);
-}
-
-// ---- per-type encoders ----------------------------------------------------
-
-void encode_static_info(XmlNode& parent, const StaticInfo& info) {
-  XmlNode& n = parent.add_child("static");
-  put(n, "host", info.host);
-  put(n, "ip", info.ip);
-  put(n, "os", info.os);
-  put(n, "memory", info.memory_bytes);
-  put(n, "disk", info.disk_bytes);
-  put(n, "cpu_speed", info.cpu_speed);
-  put(n, "byte_order", info.byte_order);
-}
-
-Expected<StaticInfo> decode_static_info(const XmlNode& parent) {
-  const XmlNode* n = parent.child("static");
-  if (n == nullptr) {
-    return make_error("proto_decode", "missing <static> block");
-  }
-  StaticInfo info;
-  auto host = need_text(*n, "host");
-  if (!host.has_value()) return host.error();
-  info.host = *host;
-  info.ip = n->child_text_or("ip", "");
-  info.os = n->child_text_or("os", "");
-  auto memory = need_int(*n, "memory");
-  if (!memory.has_value()) return memory.error();
-  info.memory_bytes = static_cast<std::uint64_t>(*memory);
-  auto disk = need_int(*n, "disk");
-  if (!disk.has_value()) return disk.error();
-  info.disk_bytes = static_cast<std::uint64_t>(*disk);
-  auto speed = need_double(*n, "cpu_speed");
-  if (!speed.has_value()) return speed.error();
-  info.cpu_speed = *speed;
-  info.byte_order = n->child_text_or("byte_order", "big");
-  return info;
-}
-
-void encode_status(XmlNode& parent, const DynamicStatus& status) {
-  XmlNode& n = parent.add_child("status");
-  put(n, "host", status.host);
-  put(n, "state", status.state);
-  put(n, "load1", status.load1);
-  put(n, "load5", status.load5);
-  put(n, "cpu_util", status.cpu_util);
-  put(n, "processes", status.processes);
-  put(n, "mem_avail_pct", status.mem_available_pct);
-  put(n, "disk_avail", status.disk_available);
-  put(n, "net_in", status.net_in_bps);
-  put(n, "net_out", status.net_out_bps);
-  put(n, "sockets", status.sockets_established);
-  put(n, "timestamp", status.timestamp);
-}
-
-Expected<DynamicStatus> decode_status(const XmlNode& parent) {
-  const XmlNode* n = parent.child("status");
-  if (n == nullptr) {
-    return make_error("proto_decode", "missing <status> block");
-  }
-  DynamicStatus s;
-  auto host = need_text(*n, "host");
-  if (!host.has_value()) return host.error();
-  s.host = *host;
-  auto state = need_text(*n, "state");
-  if (!state.has_value()) return state.error();
-  s.state = *state;
-  auto load1 = need_double(*n, "load1");
-  if (!load1.has_value()) return load1.error();
-  s.load1 = *load1;
-  auto load5 = need_double(*n, "load5");
-  if (!load5.has_value()) return load5.error();
-  s.load5 = *load5;
-  auto util = need_double(*n, "cpu_util");
-  if (!util.has_value()) return util.error();
-  s.cpu_util = *util;
-  auto processes = need_int(*n, "processes");
-  if (!processes.has_value()) return processes.error();
-  s.processes = static_cast<int>(*processes);
-  auto mem = need_double(*n, "mem_avail_pct");
-  if (!mem.has_value()) return mem.error();
-  s.mem_available_pct = *mem;
-  auto disk = need_int(*n, "disk_avail");
-  if (!disk.has_value()) return disk.error();
-  s.disk_available = static_cast<std::uint64_t>(*disk);
-  auto in = need_double(*n, "net_in");
-  if (!in.has_value()) return in.error();
-  s.net_in_bps = *in;
-  auto out = need_double(*n, "net_out");
-  if (!out.has_value()) return out.error();
-  s.net_out_bps = *out;
-  auto sockets = need_int(*n, "sockets");
-  if (!sockets.has_value()) return sockets.error();
-  s.sockets_established = static_cast<int>(*sockets);
-  auto ts = need_double(*n, "timestamp");
-  if (!ts.has_value()) return ts.error();
-  s.timestamp = *ts;
-  return s;
-}
-
+/// Writes each message's children in wire order.  Optional fields are
+/// emitted only when set, so older documents keep their exact byte form.
 struct Encoder {
-  XmlNode& root;
+  XmlWriter& w;
 
   void operator()(const RegisterMsg& m) const {
-    root.set_attr("type", "register");
-    encode_static_info(root, m.info);
-    put(root, "monitor_port", m.monitor_port);
-    put(root, "commander_port", m.commander_port);
+    w.open("static");
+    w.field("host", m.info.host);
+    w.field("ip", m.info.ip);
+    w.field("os", m.info.os);
+    w.field("memory", m.info.memory_bytes);
+    w.field("disk", m.info.disk_bytes);
+    w.field("cpu_speed", m.info.cpu_speed);
+    w.field("byte_order", m.info.byte_order);
+    w.close("static");
+    w.field("monitor_port", m.monitor_port);
+    w.field("commander_port", m.commander_port);
   }
   void operator()(const UpdateMsg& m) const {
-    root.set_attr("type", "update");
-    encode_status(root, m.status);
+    const DynamicStatus& s = m.status;
+    w.open("status");
+    w.field("host", s.host);
+    w.field("state", s.state);
+    w.field("load1", s.load1);
+    w.field("load5", s.load5);
+    w.field("cpu_util", s.cpu_util);
+    w.field("processes", s.processes);
+    w.field("mem_avail_pct", s.mem_available_pct);
+    w.field("disk_avail", s.disk_available);
+    w.field("net_in", s.net_in_bps);
+    w.field("net_out", s.net_out_bps);
+    w.field("sockets", s.sockets_established);
+    w.field("timestamp", s.timestamp);
+    w.close("status");
+  }
+  void operator()(const UpdateBatchMsg& m) const {
+    for (const LeaseRenewal& renewal : m.renewals) {
+      w.open("renewal");
+      w.field("host", renewal.host);
+      w.field("state", renewal.state);
+      w.field("timestamp", renewal.timestamp);
+      w.close("renewal");
+    }
   }
   void operator()(const ConsultMsg& m) const {
-    root.set_attr("type", "consult");
-    put(root, "host", m.host);
-    put(root, "reason", m.reason);
+    w.field("host", m.host);
+    w.field("reason", m.reason);
     // Hierarchy-routing fields ride along only when set, so a plain
     // monitor consult keeps its original compact form.
     if (!m.origin_registry.empty()) {
-      put(root, "origin_registry", m.origin_registry);
+      w.field("origin_registry", m.origin_registry);
     }
     if (m.pid != 0) {
-      put(root, "pid", m.pid);
+      w.field("pid", m.pid);
     }
     if (!m.process_name.empty()) {
-      put(root, "process_name", m.process_name);
+      w.field("process_name", m.process_name);
     }
     if (!m.schema_name.empty()) {
-      put(root, "schema_name", m.schema_name);
+      w.field("schema_name", m.schema_name);
     }
     if (m.commander_port != 0) {
-      put(root, "commander_port", m.commander_port);
-    }
-  }
-  void operator()(const UpdateBatchMsg& m) const {
-    root.set_attr("type", "update_batch");
-    for (const LeaseRenewal& renewal : m.renewals) {
-      XmlNode& n = root.add_child("renewal");
-      put(n, "host", renewal.host);
-      put(n, "state", renewal.state);
-      put(n, "timestamp", renewal.timestamp);
+      w.field("commander_port", m.commander_port);
     }
   }
   void operator()(const MigrateCmd& m) const {
-    root.set_attr("type", "migrate");
-    put(root, "pid", m.pid);
-    put(root, "process_name", m.process_name);
-    put(root, "dest_host", m.dest_host);
-    put(root, "dest_ip", m.dest_ip);
-    put(root, "dest_port", m.dest_port);
-    put(root, "schema_name", m.schema_name);
+    w.field("pid", m.pid);
+    w.field("process_name", m.process_name);
+    w.field("dest_host", m.dest_host);
+    w.field("dest_ip", m.dest_ip);
+    w.field("dest_port", m.dest_port);
+    w.field("schema_name", m.schema_name);
   }
   void operator()(const AckMsg& m) const {
-    root.set_attr("type", "ack");
-    put(root, "of", m.of);
-    put(root, "ok", m.ok);
-    put(root, "detail", m.detail);
+    w.field("of", m.of);
+    w.field("ok", m.ok);
+    w.field("detail", m.detail);
   }
   void operator()(const ProcessRegisterMsg& m) const {
-    root.set_attr("type", "process_register");
-    put(root, "host", m.host);
-    put(root, "pid", m.pid);
-    put(root, "name", m.name);
-    put(root, "start_time", m.start_time);
-    put(root, "migration_enabled", m.migration_enabled);
-    put(root, "schema_name", m.schema_name);
+    w.field("host", m.host);
+    w.field("pid", m.pid);
+    w.field("name", m.name);
+    w.field("start_time", m.start_time);
+    w.field("migration_enabled", m.migration_enabled);
+    w.field("schema_name", m.schema_name);
   }
   void operator()(const ProcessDeregisterMsg& m) const {
-    root.set_attr("type", "process_deregister");
-    put(root, "host", m.host);
-    put(root, "pid", m.pid);
+    w.field("host", m.host);
+    w.field("pid", m.pid);
   }
   void operator()(const HealthReportMsg& m) const {
-    root.set_attr("type", "health");
-    put(root, "registry_host", m.registry_host);
-    put(root, "registry_port", m.registry_port);
-    put(root, "free_hosts", m.free_hosts);
-    put(root, "busy_hosts", m.busy_hosts);
-    put(root, "overloaded_hosts", m.overloaded_hosts);
-    put(root, "timestamp", m.timestamp);
+    w.field("registry_host", m.registry_host);
+    w.field("registry_port", m.registry_port);
+    w.field("free_hosts", m.free_hosts);
+    w.field("busy_hosts", m.busy_hosts);
+    w.field("overloaded_hosts", m.overloaded_hosts);
+    w.field("timestamp", m.timestamp);
   }
   void operator()(const RecommendMsg& m) const {
-    root.set_attr("type", "recommend");
-    put(root, "found", m.found);
-    put(root, "dest_host", m.dest_host);
-    put(root, "dest_ip", m.dest_ip);
-    put(root, "dest_port", m.dest_port);
+    w.field("found", m.found);
+    w.field("dest_host", m.dest_host);
+    w.field("dest_ip", m.dest_ip);
+    w.field("dest_port", m.dest_port);
   }
   void operator()(const EvacuateMsg& m) const {
-    root.set_attr("type", "evacuate");
-    put(root, "host", m.host);
-    put(root, "reason", m.reason);
+    w.field("host", m.host);
+    w.field("reason", m.reason);
   }
   void operator()(const RelaunchCmd& m) const {
-    root.set_attr("type", "relaunch");
-    put(root, "process_name", m.process_name);
-    put(root, "lost_host", m.lost_host);
-    put(root, "schema_name", m.schema_name);
+    w.field("process_name", m.process_name);
+    w.field("lost_host", m.lost_host);
+    w.field("schema_name", m.schema_name);
   }
   void operator()(const MigrationOutcomeMsg& m) const {
-    root.set_attr("type", "migration_outcome");
-    put(root, "process", m.process);
-    put(root, "source", m.source);
-    put(root, "destination", m.destination);
-    put(root, "outcome", m.outcome);
+    w.field("process", m.process);
+    w.field("source", m.source);
+    w.field("destination", m.destination);
+    w.field("outcome", m.outcome);
     // Failure detail rides along only on aborts/rollbacks, so a committed
     // outcome keeps its compact form.
     if (!m.reason.empty()) {
-      put(root, "reason", m.reason);
+      w.field("reason", m.reason);
     }
     if (!m.phase.empty()) {
-      put(root, "phase", m.phase);
+      w.field("phase", m.phase);
     }
     // Pre-copy accounting rides along only when rounds actually shipped,
     // so stop-and-copy outcomes keep the legacy wire form byte-for-byte.
     if (m.precopy_rounds > 0) {
-      put(root, "precopy_rounds", m.precopy_rounds);
-      put(root, "precopy_bytes", m.precopy_bytes);
+      w.field("precopy_rounds", m.precopy_rounds);
+      w.field("precopy_bytes", m.precopy_bytes);
     }
   }
   void operator()(const ResizeCmd& m) const {
-    root.set_attr("type", "resize");
-    put(root, "job", m.job);
-    put(root, "verb", m.verb);
-    put(root, "delta", m.delta);
+    w.field("job", m.job);
+    w.field("verb", m.verb);
+    w.field("delta", m.delta);
     if (!m.strategy.empty()) {
-      put(root, "strategy", m.strategy);
+      w.field("strategy", m.strategy);
     }
     for (const std::string& host : m.hosts) {
-      put(root, "target", host);
+      w.field("target", host);
     }
   }
   void operator()(const ResizeOutcomeMsg& m) const {
-    root.set_attr("type", "resize_outcome");
-    put(root, "job", m.job);
-    put(root, "verb", m.verb);
-    put(root, "delta", m.delta);
-    put(root, "outcome", m.outcome);
-    put(root, "ranks_after", m.ranks_after);
+    w.field("job", m.job);
+    w.field("verb", m.verb);
+    w.field("delta", m.delta);
+    w.field("outcome", m.outcome);
+    w.field("ranks_after", m.ranks_after);
     // Same compact-commit rule as MigrationOutcomeMsg.
     if (!m.reason.empty()) {
-      put(root, "reason", m.reason);
+      w.field("reason", m.reason);
     }
     if (!m.phase.empty()) {
-      put(root, "phase", m.phase);
+      w.field("phase", m.phase);
     }
   }
   void operator()(const CkptIoRequestMsg& m) const {
-    root.set_attr("type", "ckpt_io_request");
-    put(root, "host", m.host);
-    put(root, "process", m.process);
-    put(root, "verb", m.verb);
+    w.field("host", m.host);
+    w.field("process", m.process);
+    w.field("verb", m.verb);
     // bytes/risk only matter on "request"; done/abort keep the compact
     // three-field form.
     if (m.bytes > 0) {
-      put(root, "bytes", m.bytes);
+      w.field("bytes", m.bytes);
     }
     if (m.risk > 0.0) {
-      put(root, "risk", m.risk);
+      w.field("risk", m.risk);
     }
   }
   void operator()(const CkptIoGrantMsg& m) const {
-    root.set_attr("type", "ckpt_io_grant");
-    put(root, "process", m.process);
-    put(root, "verb", m.verb);
+    w.field("process", m.process);
+    w.field("verb", m.verb);
     if (m.retry_after > 0.0) {
-      put(root, "retry_after", m.retry_after);
+      w.field("retry_after", m.retry_after);
     }
   }
 };
 
-// ---- per-type decoders ----------------------------------------------------
+// ---- decoding ---------------------------------------------------------------
 
-Expected<ProtocolMessage> decode_register(const XmlNode& root) {
-  RegisterMsg m;
-  auto info = decode_static_info(root);
-  if (!info.has_value()) return info.error();
-  m.info = *info;
-  auto monitor_port = need_int(root, "monitor_port");
-  if (!monitor_port.has_value()) return monitor_port.error();
-  m.monitor_port = static_cast<int>(*monitor_port);
-  auto commander_port = need_int(root, "commander_port");
-  if (!commander_port.has_value()) return commander_port.error();
-  m.commander_port = static_cast<int>(*commander_port);
-  return ProtocolMessage{m};
-}
+/// Where a field's text goes once converted.
+using Sink =
+    std::variant<std::string*, double*, int*, std::uint64_t*, bool*>;
 
-Expected<ProtocolMessage> decode_update(const XmlNode& root) {
-  auto status = decode_status(root);
-  if (!status.has_value()) return status.error();
-  return ProtocolMessage{UpdateMsg{*status}};
-}
+constexpr bool kOptional = false;
 
-Expected<ProtocolMessage> decode_consult(const XmlNode& root) {
-  ConsultMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  m.reason = root.child_text_or("reason", "");
-  // Optional hierarchy-routing fields (absent in plain monitor consults
-  // and in documents from older senders).
-  m.origin_registry = root.child_text_or("origin_registry", "");
-  const auto pid = parse_int(root.child_text_or("pid", "0"));
-  m.pid = pid.has_value() ? static_cast<int>(*pid) : 0;
-  m.process_name = root.child_text_or("process_name", "");
-  m.schema_name = root.child_text_or("schema_name", "");
-  const auto commander_port =
-      parse_int(root.child_text_or("commander_port", "0"));
-  m.commander_port =
-      commander_port.has_value() ? static_cast<int>(*commander_port) : 0;
-  return ProtocolMessage{m};
-}
+/// One child element a message reads.  Only its first occurrence counts.
+/// A required field fails the decode when absent or malformed; an optional
+/// one keeps its default when absent and reads as zero when malformed, so
+/// documents from older and newer peers still decode.
+struct Field {
+  Field(std::string_view field_name, Sink field_sink, bool is_required = true)
+      : name(field_name), sink(field_sink), required(is_required) {}
 
-Expected<ProtocolMessage> decode_update_batch(const XmlNode& root) {
-  UpdateBatchMsg m;
-  for (const XmlNode* n : root.children_named("renewal")) {
-    LeaseRenewal renewal;
-    auto host = need_text(*n, "host");
-    if (!host.has_value()) return host.error();
-    renewal.host = *host;
-    auto state = need_text(*n, "state");
-    if (!state.has_value()) return state.error();
-    renewal.state = *state;
-    auto ts = need_double(*n, "timestamp");
-    if (!ts.has_value()) return ts.error();
-    renewal.timestamp = *ts;
-    m.renewals.push_back(std::move(renewal));
+  std::string_view name;
+  Sink sink;
+  bool required;
+  bool seen = false;
+  bool malformed = false;
+  std::string text;  // a malformed required field's text, for the error
+};
+
+void store(Field& field, std::string_view text) {
+  bool ok = true;
+  if (auto* s = std::get_if<std::string*>(&field.sink)) {
+    (*s)->assign(text);
+  } else if (auto* d = std::get_if<double*>(&field.sink)) {
+    const auto value = support::parse_double(text);
+    **d = value.value_or(0.0);
+    ok = value.has_value();
+  } else if (auto* i = std::get_if<int*>(&field.sink)) {
+    const auto value = support::parse_int(text);
+    **i = value.has_value() ? static_cast<int>(*value) : 0;
+    ok = value.has_value();
+  } else if (auto* u = std::get_if<std::uint64_t*>(&field.sink)) {
+    const auto value = support::parse_uint(text);
+    **u = value.value_or(0);
+    ok = value.has_value();
+  } else {
+    **std::get_if<bool*>(&field.sink) = text == "true";
+    ok = text == "true" || text == "false";
   }
-  return ProtocolMessage{std::move(m)};
-}
-
-Expected<ProtocolMessage> decode_migrate(const XmlNode& root) {
-  MigrateCmd m;
-  auto pid = need_int(root, "pid");
-  if (!pid.has_value()) return pid.error();
-  m.pid = static_cast<int>(*pid);
-  m.process_name = root.child_text_or("process_name", "");
-  auto dest = need_text(root, "dest_host");
-  if (!dest.has_value()) return dest.error();
-  m.dest_host = *dest;
-  m.dest_ip = root.child_text_or("dest_ip", "");
-  auto port = need_int(root, "dest_port");
-  if (!port.has_value()) return port.error();
-  m.dest_port = static_cast<int>(*port);
-  m.schema_name = root.child_text_or("schema_name", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_ack(const XmlNode& root) {
-  AckMsg m;
-  auto of = need_text(root, "of");
-  if (!of.has_value()) return of.error();
-  m.of = *of;
-  auto ok = need_bool(root, "ok");
-  if (!ok.has_value()) return ok.error();
-  m.ok = *ok;
-  m.detail = root.child_text_or("detail", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_process_register(const XmlNode& root) {
-  ProcessRegisterMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  auto pid = need_int(root, "pid");
-  if (!pid.has_value()) return pid.error();
-  m.pid = static_cast<int>(*pid);
-  m.name = root.child_text_or("name", "");
-  auto start = need_double(root, "start_time");
-  if (!start.has_value()) return start.error();
-  m.start_time = *start;
-  auto enabled = need_bool(root, "migration_enabled");
-  if (!enabled.has_value()) return enabled.error();
-  m.migration_enabled = *enabled;
-  m.schema_name = root.child_text_or("schema_name", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_process_deregister(const XmlNode& root) {
-  ProcessDeregisterMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  auto pid = need_int(root, "pid");
-  if (!pid.has_value()) return pid.error();
-  m.pid = static_cast<int>(*pid);
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_health(const XmlNode& root) {
-  HealthReportMsg m;
-  auto host = need_text(root, "registry_host");
-  if (!host.has_value()) return host.error();
-  m.registry_host = *host;
-  const auto port = parse_int(root.child_text_or("registry_port", "0"));
-  m.registry_port = port.has_value() ? static_cast<int>(*port) : 0;
-  auto free_hosts = need_int(root, "free_hosts");
-  if (!free_hosts.has_value()) return free_hosts.error();
-  m.free_hosts = static_cast<int>(*free_hosts);
-  auto busy_hosts = need_int(root, "busy_hosts");
-  if (!busy_hosts.has_value()) return busy_hosts.error();
-  m.busy_hosts = static_cast<int>(*busy_hosts);
-  auto overloaded = need_int(root, "overloaded_hosts");
-  if (!overloaded.has_value()) return overloaded.error();
-  m.overloaded_hosts = static_cast<int>(*overloaded);
-  auto ts = need_double(root, "timestamp");
-  if (!ts.has_value()) return ts.error();
-  m.timestamp = *ts;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_evacuate(const XmlNode& root) {
-  EvacuateMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  m.reason = root.child_text_or("reason", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_relaunch(const XmlNode& root) {
-  RelaunchCmd m;
-  auto name = need_text(root, "process_name");
-  if (!name.has_value()) return name.error();
-  m.process_name = *name;
-  m.lost_host = root.child_text_or("lost_host", "");
-  m.schema_name = root.child_text_or("schema_name", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_migration_outcome(const XmlNode& root) {
-  MigrationOutcomeMsg m;
-  auto process = need_text(root, "process");
-  if (!process.has_value()) return process.error();
-  m.process = *process;
-  auto source = need_text(root, "source");
-  if (!source.has_value()) return source.error();
-  m.source = *source;
-  auto destination = need_text(root, "destination");
-  if (!destination.has_value()) return destination.error();
-  m.destination = *destination;
-  auto outcome = need_text(root, "outcome");
-  if (!outcome.has_value()) return outcome.error();
-  m.outcome = *outcome;
-  m.reason = root.child_text_or("reason", "");
-  m.phase = root.child_text_or("phase", "");
-  // Optional pre-copy accounting (absent from stop-and-copy outcomes and
-  // from documents produced by pre-precopy senders).
-  const auto rounds = parse_int(root.child_text_or("precopy_rounds", "0"));
-  m.precopy_rounds = rounds.has_value() ? static_cast<int>(*rounds) : 0;
-  const auto bytes = parse_int(root.child_text_or("precopy_bytes", "0"));
-  m.precopy_bytes =
-      bytes.has_value() && *bytes > 0 ? static_cast<std::uint64_t>(*bytes) : 0;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_resize(const XmlNode& root) {
-  ResizeCmd m;
-  auto job = need_text(root, "job");
-  if (!job.has_value()) return job.error();
-  m.job = *job;
-  auto verb = need_text(root, "verb");
-  if (!verb.has_value()) return verb.error();
-  m.verb = *verb;
-  auto delta = need_int(root, "delta");
-  if (!delta.has_value()) return delta.error();
-  m.delta = static_cast<int>(*delta);
-  m.strategy = root.child_text_or("strategy", "");
-  for (const XmlNode* n : root.children_named("target")) {
-    m.hosts.push_back(n->text());
+  if (!ok && field.required) {
+    field.malformed = true;
+    field.text.assign(text);
   }
-  return ProtocolMessage{m};
 }
 
-Expected<ProtocolMessage> decode_resize_outcome(const XmlNode& root) {
-  ResizeOutcomeMsg m;
-  auto job = need_text(root, "job");
-  if (!job.has_value()) return job.error();
-  m.job = *job;
-  auto verb = need_text(root, "verb");
-  if (!verb.has_value()) return verb.error();
-  m.verb = *verb;
-  auto delta = need_int(root, "delta");
-  if (!delta.has_value()) return delta.error();
-  m.delta = static_cast<int>(*delta);
-  auto outcome = need_text(root, "outcome");
-  if (!outcome.has_value()) return outcome.error();
-  m.outcome = *outcome;
-  auto ranks = need_int(root, "ranks_after");
-  if (!ranks.has_value()) return ranks.error();
-  m.ranks_after = static_cast<int>(*ranks);
-  m.reason = root.child_text_or("reason", "");
-  m.phase = root.child_text_or("phase", "");
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_ckpt_io_request(const XmlNode& root) {
-  CkptIoRequestMsg m;
-  auto host = need_text(root, "host");
-  if (!host.has_value()) return host.error();
-  m.host = *host;
-  auto process = need_text(root, "process");
-  if (!process.has_value()) return process.error();
-  m.process = *process;
-  auto verb = need_text(root, "verb");
-  if (!verb.has_value()) return verb.error();
-  m.verb = *verb;
-  const auto bytes = parse_int(root.child_text_or("bytes", "0"));
-  m.bytes =
-      bytes.has_value() && *bytes > 0 ? static_cast<std::uint64_t>(*bytes) : 0;
-  const auto risk = parse_double(root.child_text_or("risk", "0"));
-  m.risk = risk.has_value() ? *risk : 0.0;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_ckpt_io_grant(const XmlNode& root) {
-  CkptIoGrantMsg m;
-  auto process = need_text(root, "process");
-  if (!process.has_value()) return process.error();
-  m.process = *process;
-  auto verb = need_text(root, "verb");
-  if (!verb.has_value()) return verb.error();
-  m.verb = *verb;
-  const auto retry = parse_double(root.child_text_or("retry_after", "0"));
-  m.retry_after = retry.has_value() ? *retry : 0.0;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_recommend(const XmlNode& root) {
-  RecommendMsg m;
-  auto found = need_bool(root, "found");
-  if (!found.has_value()) return found.error();
-  m.found = *found;
-  m.dest_host = root.child_text_or("dest_host", "");
-  m.dest_ip = root.child_text_or("dest_ip", "");
-  const auto port = parse_int(root.child_text_or("dest_port", "0"));
-  m.dest_port = port.has_value() ? static_cast<int>(*port) : 0;
-  return ProtocolMessage{m};
-}
-
-Expected<ProtocolMessage> decode_root(const XmlNode& root) {
-  if (root.name() != "ars") {
-    return make_error("proto_decode", "unexpected root <" + root.name() + ">");
+/// The first failing required field, in declaration order (the order the
+/// fields appear on the wire).
+std::optional<Error> check(std::span<const Field> fields,
+                           std::string_view element) {
+  for (const Field& field : fields) {
+    if (!field.required) {
+      continue;
+    }
+    const std::string name{field.name};
+    if (!field.seen) {
+      return make_error("proto_decode", "missing field <" + name + "> in <" +
+                                            std::string(element) + ">");
+    }
+    if (field.malformed) {
+      static constexpr const char* kWhat[] = {"text", "a number",
+                                              "an integer",
+                                              "an unsigned integer",
+                                              "a boolean"};
+      return make_error("proto_decode", "field <" + name + "> is not " +
+                                            kWhat[field.sink.index()] + ": " +
+                                            field.text);
+    }
   }
-  const auto type = root.attr("type");
-  if (!type.has_value()) {
-    return make_error("proto_decode", "missing type attribute");
+  return std::nullopt;
+}
+
+/// Typed reading straight off the XmlReader: the children of the element
+/// just opened are matched by name against a field list and converted from
+/// their text views; nothing is built in between.
+class Decoder {
+ public:
+  explicit Decoder(std::string_view wire) noexcept : reader_(wire) {}
+
+  XmlReader& reader() noexcept { return reader_; }
+
+  /// Read the current element's children up to its close: fields by name,
+  /// anything else through on_other(name), which returns whether it
+  /// consumed the child; children nobody wants are skipped.
+  template <typename OnOther>
+  void read(std::span<Field> fields, OnOther&& on_other) {
+    std::string_view child;
+    std::size_t hint = 0;  // fields usually arrive in declaration order
+    while (reader_.next_child(child)) {
+      if (!offer(fields, child, hint) && !on_other(child)) {
+        reader_.skip_element();
+      }
+    }
   }
-  using DecodeFn = Expected<ProtocolMessage> (*)(const XmlNode&);
-  static const std::map<std::string, DecodeFn> kDecoders = {
-      {"register", decode_register},
-      {"update", decode_update},
-      {"update_batch", decode_update_batch},
-      {"consult", decode_consult},
-      {"migrate", decode_migrate},
-      {"ack", decode_ack},
-      {"process_register", decode_process_register},
-      {"process_deregister", decode_process_deregister},
-      {"health", decode_health},
-      {"recommend", decode_recommend},
-      {"evacuate", decode_evacuate},
-      {"relaunch", decode_relaunch},
-      {"migration_outcome", decode_migration_outcome},
-      {"resize", decode_resize},
-      {"resize_outcome", decode_resize_outcome},
-      {"ckpt_io_request", decode_ckpt_io_request},
-      {"ckpt_io_grant", decode_ckpt_io_grant},
+  void read(std::span<Field> fields) {
+    read(fields, [](std::string_view) { return false; });
+  }
+
+  /// The text of the child just opened (valid until the next text read).
+  bool text(std::string_view& out) {
+    return reader_.read_text(out, scratch_);
+  }
+
+ private:
+  bool offer(std::span<Field> fields, std::string_view child,
+             std::size_t& hint) {
+    for (std::size_t k = 0, i = hint; k < fields.size(); ++k, ++i) {
+      if (i >= fields.size()) {
+        i = 0;
+      }
+      Field& field = fields[i];
+      if (field.name != child) {
+        continue;
+      }
+      hint = i + 1;
+      if (field.seen) {
+        return false;
+      }
+      field.seen = true;
+      std::string_view text;
+      if (reader_.read_text(text, scratch_)) {
+        store(field, text);
+      }
+      return true;
+    }
+    return false;
+  }
+
+  XmlReader reader_;
+  std::string scratch_;  // text that held entities or was split by markup
+};
+
+/// Reads the first child named `name` field by field into `fields` when
+/// handed to Decoder::read as its on_other; later ones are skipped.
+struct Block {
+  Decoder& in;
+  std::string_view name;
+  std::span<Field> fields;
+  bool present = false;
+
+  bool operator()(std::string_view child) {
+    if (present || child != name) {
+      return false;
+    }
+    present = true;
+    in.read(fields);
+    return true;
+  }
+  std::optional<Error> check_fields() const {
+    if (!present) {
+      return make_error("proto_decode",
+                        "missing <" + std::string(name) + "> block");
+    }
+    return check(fields, name);
+  }
+};
+
+std::optional<Error> decode_register(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<RegisterMsg>();
+  m.info.byte_order = "big";
+  Field info[] = {
+      {"host", &m.info.host},
+      {"ip", &m.info.ip, kOptional},
+      {"os", &m.info.os, kOptional},
+      {"memory", &m.info.memory_bytes},
+      {"disk", &m.info.disk_bytes},
+      {"cpu_speed", &m.info.cpu_speed},
+      {"byte_order", &m.info.byte_order, kOptional},
   };
-  const auto it = kDecoders.find(*type);
-  if (it == kDecoders.end()) {
-    return make_error("proto_decode", "unknown message type '" + *type + "'");
+  Field ports[] = {
+      {"monitor_port", &m.monitor_port},
+      {"commander_port", &m.commander_port},
+  };
+  Block block{in, "static", info};
+  in.read(ports, block);
+  if (auto error = block.check_fields()) {
+    return *error;
   }
-  return it->second(root);
+  return check(ports, "ars");
+}
+
+std::optional<Error> decode_update(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<UpdateMsg>();
+  DynamicStatus& s = m.status;
+  Field status[] = {
+      {"host", &s.host},
+      {"state", &s.state},
+      {"load1", &s.load1},
+      {"load5", &s.load5},
+      {"cpu_util", &s.cpu_util},
+      {"processes", &s.processes},
+      {"mem_avail_pct", &s.mem_available_pct},
+      {"disk_avail", &s.disk_available},
+      {"net_in", &s.net_in_bps},
+      {"net_out", &s.net_out_bps},
+      {"sockets", &s.sockets_established},
+      {"timestamp", &s.timestamp},
+  };
+  Block block{in, "status", status};
+  in.read({}, block);
+  if (auto error = block.check_fields()) {
+    return *error;
+  }
+  return std::nullopt;
+}
+
+std::optional<Error> decode_update_batch(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<UpdateBatchMsg>();
+  std::optional<Error> error;  // the first bad renewal, in document order
+  in.read({}, [&](std::string_view child) {
+    if (child != "renewal") {
+      return false;
+    }
+    LeaseRenewal& renewal = m.renewals.emplace_back();
+    Field fields[] = {
+        {"host", &renewal.host},
+        {"state", &renewal.state},
+        {"timestamp", &renewal.timestamp},
+    };
+    in.read(fields);
+    if (!error) {
+      error = check(fields, "renewal");
+    }
+    return true;
+  });
+  return error;
+}
+
+std::optional<Error> decode_consult(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<ConsultMsg>();
+  // Everything past host/reason is hierarchy routing, absent in plain
+  // monitor consults and in documents from older senders.
+  Field fields[] = {
+      {"host", &m.host},
+      {"reason", &m.reason, kOptional},
+      {"origin_registry", &m.origin_registry, kOptional},
+      {"pid", &m.pid, kOptional},
+      {"process_name", &m.process_name, kOptional},
+      {"schema_name", &m.schema_name, kOptional},
+      {"commander_port", &m.commander_port, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_migrate(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<MigrateCmd>();
+  Field fields[] = {
+      {"pid", &m.pid},
+      {"process_name", &m.process_name, kOptional},
+      {"dest_host", &m.dest_host},
+      {"dest_ip", &m.dest_ip, kOptional},
+      {"dest_port", &m.dest_port},
+      {"schema_name", &m.schema_name, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_ack(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<AckMsg>();
+  Field fields[] = {
+      {"of", &m.of},
+      {"ok", &m.ok},
+      {"detail", &m.detail, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_process_register(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<ProcessRegisterMsg>();
+  Field fields[] = {
+      {"host", &m.host},
+      {"pid", &m.pid},
+      {"name", &m.name, kOptional},
+      {"start_time", &m.start_time},
+      {"migration_enabled", &m.migration_enabled},
+      {"schema_name", &m.schema_name, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_process_deregister(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<ProcessDeregisterMsg>();
+  Field fields[] = {
+      {"host", &m.host},
+      {"pid", &m.pid},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_health(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<HealthReportMsg>();
+  Field fields[] = {
+      {"registry_host", &m.registry_host},
+      {"registry_port", &m.registry_port, kOptional},
+      {"free_hosts", &m.free_hosts},
+      {"busy_hosts", &m.busy_hosts},
+      {"overloaded_hosts", &m.overloaded_hosts},
+      {"timestamp", &m.timestamp},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_recommend(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<RecommendMsg>();
+  Field fields[] = {
+      {"found", &m.found},
+      {"dest_host", &m.dest_host, kOptional},
+      {"dest_ip", &m.dest_ip, kOptional},
+      {"dest_port", &m.dest_port, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_evacuate(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<EvacuateMsg>();
+  Field fields[] = {
+      {"host", &m.host},
+      {"reason", &m.reason, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_relaunch(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<RelaunchCmd>();
+  Field fields[] = {
+      {"process_name", &m.process_name},
+      {"lost_host", &m.lost_host, kOptional},
+      {"schema_name", &m.schema_name, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_migration_outcome(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<MigrationOutcomeMsg>();
+  // reason/phase are absent from commits, the pre-copy accounting from
+  // stop-and-copy outcomes and from pre-precopy senders.
+  Field fields[] = {
+      {"process", &m.process},
+      {"source", &m.source},
+      {"destination", &m.destination},
+      {"outcome", &m.outcome},
+      {"reason", &m.reason, kOptional},
+      {"phase", &m.phase, kOptional},
+      {"precopy_rounds", &m.precopy_rounds, kOptional},
+      {"precopy_bytes", &m.precopy_bytes, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_resize(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<ResizeCmd>();
+  Field fields[] = {
+      {"job", &m.job},
+      {"verb", &m.verb},
+      {"delta", &m.delta},
+      {"strategy", &m.strategy, kOptional},
+  };
+  in.read(fields, [&](std::string_view child) {
+    if (child != "target") {
+      return false;
+    }
+    std::string_view host;
+    if (in.text(host)) {
+      m.hosts.emplace_back(host);
+    }
+    return true;
+  });
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_resize_outcome(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<ResizeOutcomeMsg>();
+  Field fields[] = {
+      {"job", &m.job},
+      {"verb", &m.verb},
+      {"delta", &m.delta},
+      {"outcome", &m.outcome},
+      {"ranks_after", &m.ranks_after},
+      {"reason", &m.reason, kOptional},
+      {"phase", &m.phase, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_ckpt_io_request(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<CkptIoRequestMsg>();
+  Field fields[] = {
+      {"host", &m.host},
+      {"process", &m.process},
+      {"verb", &m.verb},
+      {"bytes", &m.bytes, kOptional},
+      {"risk", &m.risk, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+std::optional<Error> decode_ckpt_io_grant(Decoder& in, ProtocolMessage& out) {
+  auto& m = out.emplace<CkptIoGrantMsg>();
+  Field fields[] = {
+      {"process", &m.process},
+      {"verb", &m.verb},
+      {"retry_after", &m.retry_after, kOptional},
+  };
+  in.read(fields);
+  return check(fields, "ars");
+}
+
+/// Decodes the body of an <ars> element into `out`; the first decode error
+/// in wire order, if any.
+using DecodeFn = std::optional<Error> (*)(Decoder& in, ProtocolMessage& out);
+
+/// Decoders in ProtocolMessage alternative order (kTypeNames' order).
+constexpr std::array<DecodeFn, kTypeNames.size()> kDecoders = {
+    decode_register,          decode_update,
+    decode_update_batch,      decode_consult,
+    decode_migrate,           decode_ack,
+    decode_process_register,  decode_process_deregister,
+    decode_health,            decode_recommend,
+    decode_evacuate,          decode_relaunch,
+    decode_migration_outcome, decode_resize,
+    decode_resize_outcome,    decode_ckpt_io_request,
+    decode_ckpt_io_grant,
+};
+
+DecodeFn decoder_for(std::string_view type) noexcept {
+  for (std::size_t i = 0; i < kTypeNames.size(); ++i) {
+    if (kTypeNames[i] == type) {
+      return kDecoders[i];
+    }
+  }
+  return nullptr;
+}
+
+/// An envelope attribute's text, decoded into `storage` only when it held
+/// entities.
+std::string_view attr_text(const XmlAttr& attr, std::string& storage) {
+  if (!attr.escaped) {
+    return attr.value;
+  }
+  storage.clear();
+  append_unescaped(storage, attr.value);
+  return storage;
 }
 
 }  // namespace
 
 std::string encode(const ProtocolMessage& message) {
-  XmlNode root{"ars"};
-  std::visit(Encoder{root}, message);
-  return root.to_string();
+  return encode(message, obs::TraceCtx{});
 }
 
 std::string encode(const ProtocolMessage& message, const obs::TraceCtx& ctx) {
-  XmlNode root{"ars"};
-  std::visit(Encoder{root}, message);
-  // The context rides as envelope attributes, emitted only when set (same
-  // rule as ConsultMsg's routing fields) so a context-free message keeps
-  // its pre-v2 byte layout.
+  // Written into a per-thread buffer, then copied out at its exact size:
+  // one allocation per message, and no capacity slack held by in-flight
+  // payloads.
+  thread_local std::string buffer;
+  buffer.clear();
+  XmlWriter w{buffer};
+  w.open("ars");
+  // Envelope attributes in key order (pspan < txn < type).  The context is
+  // emitted only when set (same rule as ConsultMsg's routing fields), so a
+  // context-free message keeps its pre-v2 byte layout.
   if (ctx.set()) {
-    root.set_attr("txn", std::to_string(ctx.txn));
     if (ctx.parent_span != 0) {
-      root.set_attr("pspan", std::to_string(ctx.parent_span));
+      w.attr("pspan", ctx.parent_span);
     }
+    w.attr("txn", ctx.txn);
   }
-  return root.to_string();
+  w.attr("type", kTypeNames[message.index()]);
+  std::visit(Encoder{w}, message);
+  w.close("ars");
+  return buffer;
 }
 
 std::string message_type(const ProtocolMessage& message) {
-  struct Namer {
-    std::string operator()(const RegisterMsg&) const { return "register"; }
-    std::string operator()(const UpdateMsg&) const { return "update"; }
-    std::string operator()(const UpdateBatchMsg&) const {
-      return "update_batch";
-    }
-    std::string operator()(const ConsultMsg&) const { return "consult"; }
-    std::string operator()(const MigrateCmd&) const { return "migrate"; }
-    std::string operator()(const AckMsg&) const { return "ack"; }
-    std::string operator()(const ProcessRegisterMsg&) const {
-      return "process_register";
-    }
-    std::string operator()(const ProcessDeregisterMsg&) const {
-      return "process_deregister";
-    }
-    std::string operator()(const HealthReportMsg&) const { return "health"; }
-    std::string operator()(const RecommendMsg&) const { return "recommend"; }
-    std::string operator()(const EvacuateMsg&) const { return "evacuate"; }
-    std::string operator()(const RelaunchCmd&) const { return "relaunch"; }
-    std::string operator()(const MigrationOutcomeMsg&) const {
-      return "migration_outcome";
-    }
-    std::string operator()(const ResizeCmd&) const { return "resize"; }
-    std::string operator()(const ResizeOutcomeMsg&) const {
-      return "resize_outcome";
-    }
-    std::string operator()(const CkptIoRequestMsg&) const {
-      return "ckpt_io_request";
-    }
-    std::string operator()(const CkptIoGrantMsg&) const {
-      return "ckpt_io_grant";
-    }
-  };
-  return std::visit(Namer{}, message);
-}
-
-Expected<ProtocolMessage> decode(std::string_view wire) {
-  auto doc = parse_xml(wire);
-  if (!doc.has_value()) {
-    return doc.error();
-  }
-  return decode_root(**doc);
+  return std::string(kTypeNames[message.index()]);
 }
 
 Expected<Envelope> decode_envelope(std::string_view wire) {
-  auto doc = parse_xml(wire);
-  if (!doc.has_value()) {
-    return doc.error();
+  Decoder in{wire};
+  XmlReader& reader = in.reader();
+  if (reader.next() != XmlToken::kOpen) {
+    return reader.error();
   }
-  const XmlNode& root = **doc;
-  auto message = decode_root(root);
-  if (!message.has_value()) {
-    return message.error();
+  // The envelope's attributes, copied out before the body overwrites the
+  // reader's attribute list.  A repeated attribute keeps its last value.
+  std::optional<XmlAttr> type;
+  std::optional<XmlAttr> txn;
+  std::optional<XmlAttr> pspan;
+  for (const XmlAttr& attr : reader.attrs()) {
+    if (attr.name == "type") {
+      type = attr;
+    } else if (attr.name == "txn") {
+      txn = attr;
+    } else if (attr.name == "pspan") {
+      pspan = attr;
+    }
   }
-  Envelope envelope{std::move(*message), {}};
+  std::string storage;
+  std::optional<Error> rejected;
+  DecodeFn decoder = nullptr;
+  if (reader.name() != "ars") {
+    rejected = make_error("proto_decode",
+                          "unexpected root <" + std::string(reader.name()) + ">");
+  } else if (!type.has_value()) {
+    rejected = make_error("proto_decode", "missing type attribute");
+  } else {
+    const std::string_view tag = attr_text(*type, storage);
+    decoder = decoder_for(tag);
+    if (decoder == nullptr) {
+      rejected = make_error("proto_decode",
+                            "unknown message type '" + std::string(tag) + "'");
+    }
+  }
+  // Decoded in place: the message is built where the caller receives it.
+  Expected<Envelope> result{Envelope{}};
+  if (rejected) {
+    reader.skip_element();
+  } else {
+    rejected = decoder(in, result->message);
+  }
+  // The rest of the document must be well-formed too: a parse error
+  // outranks any decode error, as when the whole document parsed first.
+  if (reader.next() != XmlToken::kEnd) {
+    return reader.error();
+  }
+  if (rejected) {
+    return *rejected;
+  }
+  Envelope& envelope = *result;
   // Malformed context attrs degrade to "no context" rather than rejecting
   // the message: causality is advisory, the payload is not.
-  if (const auto txn = root.attr("txn"); txn.has_value()) {
-    if (const auto id = parse_int(*txn); id.has_value() && *id > 0) {
-      envelope.trace.txn = static_cast<std::uint64_t>(*id);
-      if (const auto pspan = root.attr("pspan"); pspan.has_value()) {
-        if (const auto sid = parse_int(*pspan); sid.has_value() && *sid > 0) {
-          envelope.trace.parent_span = static_cast<std::uint64_t>(*sid);
+  if (txn.has_value()) {
+    if (const auto id = support::parse_uint(attr_text(*txn, storage));
+        id.has_value() && *id > 0) {
+      envelope.trace.txn = *id;
+      if (pspan.has_value()) {
+        if (const auto sid = support::parse_uint(attr_text(*pspan, storage));
+            sid.has_value() && *sid > 0) {
+          envelope.trace.parent_span = *sid;
         }
       }
     }
   }
-  return envelope;
+  return result;
+}
+
+Expected<ProtocolMessage> decode(std::string_view wire) {
+  auto envelope = decode_envelope(wire);
+  if (!envelope.has_value()) {
+    return envelope.error();
+  }
+  return std::move(envelope->message);
 }
 
 }  // namespace ars::xmlproto
