@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ars/core/sharded_cluster.hpp"
 #include "ars/host/host.hpp"
@@ -24,6 +25,7 @@
 #include "ars/registry/registry.hpp"
 #include "ars/rules/policy.hpp"
 #include "ars/sim/engine.hpp"
+#include "ars/sim/shard.hpp"
 #include "ars/xmlproto/messages.hpp"
 
 #include "common.hpp"
@@ -185,6 +187,13 @@ BENCHMARK(BM_RegistryRegisterStorm)->Arg(256)->Arg(1024);
 // shards4_vs_1 baseline ratio in BENCH_micro.json tracks the speedup
 // (wired warn-only in CI: containers pin cores unpredictably).
 //
+// Epochs are not huge: the 5 ms fabric lookahead cuts the 20k-host run into
+// ~6.6k epochs of tens of microseconds of wall time each, so per-epoch sync
+// cost matters.  The busy_ms / wait_ms / wait_share counters split every
+// shard's run() time into engine work and barrier time (summed over
+// shards, per iteration); build_* and teardown_* split the parallel build
+// and teardown the same way.
+//
 // --cluster-plan=FILE swaps in a committed plan (plans/huge-cluster.json is
 // the 100k-host instance); --shards=N overrides the per-arg shard sweep.
 
@@ -217,18 +226,50 @@ void sharded_cluster_bench(benchmark::State& state, int hosts,
                        : static_cast<int>(state.range(0));
   std::uint64_t events = 0;
   std::uint64_t cross = 0;
+  // Wall seconds summed over shards: engine vs barrier time during run(),
+  // and own work vs waiting in the parallel build and teardown.
+  sim::ShardGroup::Split run;
+  sim::ShardGroup::Split build;
+  sim::ShardGroup::Split teardown;
+  const auto add = [](sim::ShardGroup::Split& sum,
+                      const std::vector<sim::ShardGroup::Split>& splits) {
+    for (const sim::ShardGroup::Split& split : splits) {
+      sum.busy_s += split.busy_s;
+      sum.wait_s += split.wait_s;
+    }
+  };
   for (auto _ : state) {
     core::ShardedCluster cluster(options);
     const core::ShardedClusterReport report = cluster.run();
     events += report.events;
     cross += report.cross_messages;
     benchmark::DoNotOptimize(report.registered_hosts);
+    for (const auto& shard : cluster.group().stats()) {
+      run.busy_s += shard.run.busy_s;
+      run.wait_s += shard.run.wait_s;
+    }
+    add(build, cluster.build_split());
+    add(teardown, cluster.teardown());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["hosts"] = options.hosts;
   state.counters["shards"] = options.shards;
   state.counters["cross_msgs"] =
       benchmark::Counter(static_cast<double>(cross));
+  const auto per_iteration_ms = [&state](double seconds) {
+    return benchmark::Counter(seconds * 1e3 /
+                              static_cast<double>(state.iterations()));
+  };
+  state.counters["busy_ms"] = per_iteration_ms(run.busy_s);
+  state.counters["wait_ms"] = per_iteration_ms(run.wait_s);
+  state.counters["wait_share"] =
+      run.busy_s + run.wait_s > 0.0
+          ? run.wait_s / (run.busy_s + run.wait_s)
+          : 0.0;
+  state.counters["build_busy_ms"] = per_iteration_ms(build.busy_s);
+  state.counters["build_wait_ms"] = per_iteration_ms(build.wait_s);
+  state.counters["teardown_busy_ms"] = per_iteration_ms(teardown.busy_s);
+  state.counters["teardown_wait_ms"] = per_iteration_ms(teardown.wait_s);
 }
 
 /// Shard sweep at a fixed fleet: the speedup-vs-1-shard curve.  The 35s

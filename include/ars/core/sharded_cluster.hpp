@@ -28,11 +28,14 @@
 // shards=1 the group runs inline on the caller thread (no threads, no
 // epochs), matching the legacy single-engine composition bit for bit.
 //
-// Thread contract: construct, run(), and inspect from one thread; worker
-// threads only ever touch their own shard's engine/network/tracer/metrics
-// inside ShardGroup::run_until.
+// Thread contract: construct, run(), and inspect from one thread.  Each
+// shard's hosts, network, registries, monitors, tracer and metrics are built
+// and destroyed on that shard's own thread (ShardGroup::for_each_shard), and
+// worker threads touch only their own shard's state, there and inside
+// ShardGroup::run_until.  Router wiring runs serially after the build.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,7 +111,15 @@ struct ShardedClusterReport {
 
 class ShardedCluster {
  public:
-  explicit ShardedCluster(ShardedClusterOptions options);
+  /// Runs on each shard's own thread right after that shard is built (to
+  /// install per-shard instrumentation, say).  A throw aborts construction
+  /// like any other build failure.
+  using ShardHook = std::function<void(std::size_t shard)>;
+
+  /// Builds every shard in parallel.  If any shard's build throws, the
+  /// shards already built are destroyed and the exception propagates.
+  explicit ShardedCluster(ShardedClusterOptions options,
+                          const ShardHook& after_build = {});
   ~ShardedCluster();
   ShardedCluster(const ShardedCluster&) = delete;
   ShardedCluster& operator=(const ShardedCluster&) = delete;
@@ -133,6 +144,16 @@ class ShardedCluster {
   /// The registry the shard's monitors report to (the child in
   /// hierarchical mode, the root otherwise).
   [[nodiscard]] registry::Registry& shard_registry(std::size_t shard);
+
+  /// Per-shard wall-clock split of the parallel build.
+  [[nodiscard]] const std::vector<sim::ShardGroup::Split>& build_split()
+      const noexcept {
+    return build_split_;
+  }
+  /// Destroy every shard on its own thread and return the per-shard split;
+  /// the destructor does this if it was not done.  Afterwards only
+  /// options() and group() may be used.
+  std::vector<sim::ShardGroup::Split> teardown();
 
  private:
   /// Deterministic message-loss injector, one per shard so the random
@@ -187,6 +208,7 @@ class ShardedCluster {
   sim::ShardGroup group_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<net::ShardRouter> router_;
+  std::vector<sim::ShardGroup::Split> build_split_;
   bool ran_ = false;
 };
 

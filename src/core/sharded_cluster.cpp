@@ -1,8 +1,11 @@
 #include "ars/core/sharded_cluster.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "ars/obs/json.hpp"
 #include "ars/rules/policy.hpp"
@@ -39,7 +42,8 @@ std::uint64_t fnv1a(const std::string& text) {
 
 }  // namespace
 
-ShardedCluster::ShardedCluster(ShardedClusterOptions options)
+ShardedCluster::ShardedCluster(ShardedClusterOptions options,
+                               const ShardHook& after_build)
     : options_(std::move(options)),
       group_(checked_shards(options_.shards),
              sim::ShardGroup::Options{options_.cross_latency}) {
@@ -47,10 +51,18 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
     throw std::invalid_argument("ShardedCluster: hosts must be >= 1");
   }
   const std::size_t shard_count = group_.size();
-  shards_.reserve(shard_count);
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    shards_.push_back(std::make_unique<Shard>());
-    build_shard(shard);
+  shards_.resize(shard_count);
+  try {
+    build_split_ = group_.for_each_shard([&](std::size_t shard) {
+      shards_[shard] = std::make_unique<Shard>();
+      build_shard(shard);
+      if (after_build) {
+        after_build(shard);
+      }
+    });
+  } catch (...) {
+    teardown();
+    throw;
   }
   router_ = std::make_unique<net::ShardRouter>(
       group_, net::ShardRouter::Options{options_.cross_latency});
@@ -59,12 +71,22 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
   }
 }
 
-ShardedCluster::~ShardedCluster() {
-  for (auto& shard : shards_) {
-    if (shard && shard->net) {
-      shard->net->set_fault_policy(nullptr);
-    }
+ShardedCluster::~ShardedCluster() { teardown(); }
+
+std::vector<sim::ShardGroup::Split> ShardedCluster::teardown() {
+  if (shards_.empty()) {
+    return {};
   }
+  router_.reset();  // unhooks every network
+  auto split = group_.for_each_shard([this](std::size_t shard) {
+    std::unique_ptr<Shard>& state = shards_[shard];
+    if (state != nullptr && state->net != nullptr) {
+      state->net->set_fault_policy(nullptr);
+    }
+    state.reset();
+  });
+  shards_.clear();
+  return split;
 }
 
 void ShardedCluster::build_shard(std::size_t shard) {
@@ -282,37 +304,53 @@ support::Expected<ShardedClusterOptions> load_cluster_plan(
     const obs::JsonValue* value = root.find(key);
     return value != nullptr && value->is_bool() ? value->as_bool() : fallback;
   };
+  // Integer fields must be integral and inside [lo, hi) of their type: a
+  // plain cast of 1e300 is undefined, 2.5 would truncate and -1 would wrap
+  // a trace capacity to 2^64 - 1.
+  std::optional<support::Error> bad;
+  const auto integer = [&](const char* key, auto& field, double lo,
+                           double hi) {
+    const obs::JsonValue* value = root.find(key);
+    if (bad || value == nullptr || !value->is_number()) {
+      return;
+    }
+    const double v = value->as_number();
+    if (!(v >= lo && v < hi) || std::trunc(v) != v) {
+      bad = support::make_error(
+          std::string("plan.") + key,
+          std::string(key) + " must be a whole number >= " +
+              std::to_string(static_cast<int>(lo)) + " that fits its field");
+      return;
+    }
+    field = static_cast<std::remove_reference_t<decltype(field)>>(v);
+  };
+  constexpr double kIntEnd = 2147483648.0;  // 2^31
+  constexpr double kU64End = 18446744073709551616.0;  // 2^64
   if (const obs::JsonValue* name = root.find("name");
       name != nullptr && name->is_string()) {
     options.name = name->as_string();
   }
-  options.shards = static_cast<int>(num("shards", options.shards));
-  options.hosts = static_cast<int>(num("hosts", options.hosts));
+  integer("shards", options.shards, 1.0, kIntEnd);
+  integer("hosts", options.hosts, 1.0, kIntEnd);
   options.duration = num("duration", options.duration);
   options.cross_latency = num("cross_latency", options.cross_latency);
   options.hierarchical = flag("hierarchical", options.hierarchical);
   options.delta_heartbeats =
       flag("delta_heartbeats", options.delta_heartbeats);
-  options.seed = static_cast<std::uint64_t>(
-      num("seed", static_cast<double>(options.seed)));
+  integer("seed", options.seed, 0.0, kU64End);
   options.busy_fraction = num("busy_fraction", options.busy_fraction);
   options.overloaded_fraction =
       num("overloaded_fraction", options.overloaded_fraction);
   options.message_loss = num("message_loss", options.message_loss);
   options.loss_from = num("loss_from", options.loss_from);
   options.loss_until = num("loss_until", options.loss_until);
-  options.crash_hosts =
-      static_cast<int>(num("crash_hosts", options.crash_hosts));
+  integer("crash_hosts", options.crash_hosts, 0.0, kIntEnd);
   options.crash_at = num("crash_at", options.crash_at);
   options.crash_until = num("crash_until", options.crash_until);
   options.tracing = flag("tracing", options.tracing);
-  options.trace_capacity = static_cast<std::size_t>(num(
-      "trace_capacity", static_cast<double>(options.trace_capacity)));
-  if (options.shards < 1) {
-    return support::make_error("plan.shards", "shards must be >= 1");
-  }
-  if (options.hosts < 1) {
-    return support::make_error("plan.hosts", "hosts must be >= 1");
+  integer("trace_capacity", options.trace_capacity, 0.0, kU64End);
+  if (bad) {
+    return *bad;
   }
   return options;
 }

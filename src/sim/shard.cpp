@@ -6,7 +6,45 @@
 #include <stdexcept>
 #include <tuple>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace ars::sim {
+
+namespace {
+
+/// How long a barrier waiter spins before it parks.  An epoch of the
+/// 20k-host fleet takes tens of microseconds of wall time, and most waits
+/// are shorter than one.
+constexpr std::chrono::microseconds kSpinBudget{50};
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// CPUs this process may run on (its affinity set), not the machine's.
+std::size_t usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1U, std::thread::hardware_concurrency());
+}
+
+template <typename Duration>
+double seconds(Duration d) {
+  return std::chrono::duration<double>(d).count();
+}
+
+}  // namespace
 
 ShardGroup::ShardGroup(std::size_t shards) : ShardGroup(shards, Options{}) {}
 
@@ -23,6 +61,7 @@ ShardGroup::ShardGroup(std::size_t shards, Options options)
     shards_.push_back(std::make_unique<ShardState>());
   }
   outbox_.resize(shards * shards);
+  spin_ = shards > 1 && usable_cpus() >= shards;
 }
 
 ShardGroup::~ShardGroup() {
@@ -31,7 +70,7 @@ ShardGroup::~ShardGroup() {
       const std::lock_guard<std::mutex> lock(mutex_);
       exit_ = true;
     }
-    round_start_.notify_all();
+    job_start_.notify_all();
     for (std::thread& worker : workers_) {
       worker.join();
     }
@@ -85,41 +124,136 @@ void ShardGroup::deliver_inbox(std::size_t dst) {
   incoming.clear();
 }
 
-void ShardGroup::run_epoch(std::size_t shard, SimTime horizon) {
-  shards_[shard]->engine.run_until(horizon);
-  barrier_->arrive_and_wait();  // all outboxes final for this epoch
-  deliver_inbox(shard);
-  barrier_->arrive_and_wait();  // all inboxes drained; horizons may move
+bool ShardGroup::plan_epoch() {
+  for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
+    deliver_inbox(dst);
+  }
+  SimTime next = std::numeric_limits<SimTime>::infinity();
+  for (const auto& state : shards_) {
+    next = std::min(next, state->engine.next_event_at());
+  }
+  if (!(next <= until_)) {
+    return false;  // nothing left inside the window (covers next == +inf)
+  }
+  horizon_ = std::min(until_, next + options_.lookahead);
+  ++epochs_;
+  return true;
+}
+
+bool ShardGroup::arrive(bool epoch) {
+  const std::uint32_t phase = phase_.load(std::memory_order_acquire);
+  // acq_rel: the last arrival's increment reads the end of the chain of
+  // every earlier one, so it sees every shard's epoch writes.
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 < shards_.size()) {
+    return (await_phase(phase) & 1U) != 0;
+  }
+  // Completion step: every other shard is parked until the phase moves.
+  arrived_.store(0, std::memory_order_relaxed);
+  const bool done = !epoch || !plan_epoch();
+  if (done) {
+    close_job(epoch, Clock::now());
+  }
+  phase_.store((phase & ~1U) + 2U + (done ? 1U : 0U),
+               std::memory_order_release);
+  phase_.notify_all();
+  return done;
+}
+
+std::uint32_t ShardGroup::await_phase(std::uint32_t phase) const {
+  if (spin_) {
+    const Clock::time_point deadline = Clock::now() + kSpinBudget;
+    for (unsigned i = 1;; ++i) {
+      cpu_relax();
+      const std::uint32_t seen = phase_.load(std::memory_order_acquire);
+      if (seen != phase) {
+        return seen;
+      }
+      if (i % 64 == 0 && Clock::now() >= deadline) {
+        break;
+      }
+    }
+  }
+  phase_.wait(phase, std::memory_order_acquire);
+  return phase_.load(std::memory_order_acquire);
+}
+
+void ShardGroup::close_job(bool epoch, Clock::time_point end) {
+  for (const auto& state : shards_) {
+    const Clock::duration wait = end - state->job_start - state->job_busy;
+    if (epoch) {
+      state->run_busy += state->job_busy;
+      state->run_wait += wait;
+    } else {
+      state->call = Split{seconds(state->job_busy), seconds(wait)};
+    }
+  }
+}
+
+void ShardGroup::run_window(std::size_t shard) {
+  ShardState& state = *shards_[shard];
+  state.job_start = Clock::now();
+  state.job_busy = Clock::duration::zero();
+  Clock::time_point start = state.job_start;
+  for (;;) {
+    state.engine.run_until(horizon_);
+    ++state.epochs;
+    state.job_busy += Clock::now() - start;
+    if (arrive(/*epoch=*/true)) {
+      return;
+    }
+    start = Clock::now();
+  }
+}
+
+void ShardGroup::run_call(std::size_t shard,
+                          const std::function<void(std::size_t)>& fn) {
+  ShardState& state = *shards_[shard];
+  state.error = nullptr;
+  state.job_start = Clock::now();
+  try {
+    fn(shard);
+  } catch (...) {
+    state.error = std::current_exception();
+  }
+  state.job_busy = Clock::now() - state.job_start;
+  arrive(/*epoch=*/false);
 }
 
 void ShardGroup::worker_main(std::size_t shard) {
   std::uint64_t seen_round = 0;
   for (;;) {
-    SimTime horizon = 0.0;
+    const std::function<void(std::size_t)>* call = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      round_start_.wait(lock,
-                        [&] { return exit_ || round_ != seen_round; });
+      job_start_.wait(lock,
+                      [&] { return exit_ || job_round_ != seen_round; });
       if (exit_) {
         return;
       }
-      seen_round = round_;
-      horizon = horizon_;
+      seen_round = job_round_;
+      call = job_;
     }
-    run_epoch(shard, horizon);
+    if (call != nullptr) {
+      run_call(shard, *call);
+    } else {
+      run_window(shard);
+    }
   }
 }
 
-void ShardGroup::ensure_workers() {
-  if (!workers_.empty()) {
-    return;
+void ShardGroup::start_job(const std::function<void(std::size_t)>* call) {
+  if (workers_.empty()) {
+    workers_.reserve(shards_.size() - 1);
+    for (std::size_t shard = 1; shard < shards_.size(); ++shard) {
+      workers_.emplace_back([this, shard] { worker_main(shard); });
+    }
   }
-  barrier_ = std::make_unique<std::barrier<>>(
-      static_cast<std::ptrdiff_t>(shards_.size()));
-  workers_.reserve(shards_.size() - 1);
-  for (std::size_t shard = 1; shard < shards_.size(); ++shard) {
-    workers_.emplace_back([this, shard] { worker_main(shard); });
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    job_ = call;
+    ++job_round_;
   }
+  job_start_.notify_all();
 }
 
 std::size_t ShardGroup::run_until(SimTime until) {
@@ -128,36 +262,22 @@ std::size_t ShardGroup::run_until(SimTime until) {
     // Inline path: identical to driving the engine directly — no threads,
     // no epochs, no barriers.  (post() with one shard already schedules
     // straight into the engine.)
-    shards_[0]->engine.run_until(until);
+    ShardState& state = *shards_[0];
+    const Clock::time_point start = Clock::now();
+    state.engine.run_until(until);
+    state.run_busy += Clock::now() - start;
     return static_cast<std::size_t>(events_executed() - before);
   }
 
-  // Setup-time posts (wiring done before the run) are merged on the
-  // coordinating thread, in the same deterministic order as epoch merges.
-  for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
-    deliver_inbox(dst);
-  }
-  ensure_workers();
-
-  for (;;) {
-    SimTime next = std::numeric_limits<SimTime>::infinity();
-    for (const auto& state : shards_) {
-      next = std::min(next, state->engine.next_event_at());
-    }
-    if (!(next <= until)) {
-      break;  // nothing left inside the window (covers next == +inf)
-    }
-    const SimTime horizon = std::min(until, next + options_.lookahead);
-    ++epochs_;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      horizon_ = horizon;
-      ++round_;
-    }
-    round_start_.notify_all();
-    run_epoch(/*shard=*/0, horizon);
-    // run_epoch returns only after every worker passed the second barrier,
-    // so reading engine state for the next horizon is race-free.
+  // Setup-time posts (wiring done before the run) are merged here, on the
+  // coordinating thread, in the same deterministic order as epoch merges;
+  // later epochs are planned by the barrier's completion step.
+  until_ = until;
+  if (plan_epoch()) {
+    start_job(nullptr);
+    run_window(/*shard=*/0);
+    // run_window returns only after the final barrier, so every worker is
+    // done with its engine.
   }
 
   // Land every clock exactly on `until` (the final horizon may fall short
@@ -166,6 +286,31 @@ std::size_t ShardGroup::run_until(SimTime until) {
     state->engine.run_until(until);
   }
   return static_cast<std::size_t>(events_executed() - before);
+}
+
+std::vector<ShardGroup::Split> ShardGroup::for_each_shard(
+    const std::function<void(std::size_t)>& fn) {
+  if (shards_.size() == 1) {
+    const Clock::time_point start = Clock::now();
+    fn(0);
+    return {Split{seconds(Clock::now() - start), 0.0}};
+  }
+  start_job(&fn);
+  run_call(/*shard=*/0, fn);
+  std::vector<Split> splits;
+  splits.reserve(shards_.size());
+  std::exception_ptr error;
+  for (const auto& state : shards_) {
+    splits.push_back(state->call);
+    if (error == nullptr) {
+      error = state->error;
+    }
+    state->error = nullptr;
+  }
+  if (error != nullptr) {
+    std::rethrow_exception(error);
+  }
+  return splits;
 }
 
 std::uint64_t ShardGroup::events_executed() const {
@@ -182,6 +327,17 @@ std::uint64_t ShardGroup::cross_events() const {
     total += state->cross_in;
   }
   return total;
+}
+
+std::vector<ShardGroup::ShardStats> ShardGroup::stats() const {
+  std::vector<ShardStats> out;
+  out.reserve(shards_.size());
+  for (const auto& state : shards_) {
+    out.push_back(ShardStats{
+        Split{seconds(state->run_busy), seconds(state->run_wait)},
+        state->epochs, state->cross_in});
+  }
+  return out;
 }
 
 }  // namespace ars::sim

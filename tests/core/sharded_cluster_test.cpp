@@ -1,4 +1,4 @@
-// ShardedCluster determinism and cross-shard behavior (ISSUE 7).
+// ShardedCluster determinism and cross-shard behavior.
 //
 // The three determinism contracts the sharded core promises:
 //   (a) shards=1 runs inline (no threads, no epochs) and repeats
@@ -16,6 +16,11 @@
 #include "ars/core/sharded_cluster.hpp"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace ars {
 namespace {
@@ -138,6 +143,65 @@ TEST(ShardedCluster, CrashWindowSilencesMonitorsDeterministically) {
   EXPECT_NE(a.merged_trace, c.merged_trace);
 }
 
+// Construct -> run -> destroy with four shards in both registry shapes: the
+// build and teardown run on the shard threads (a TSan target, like the
+// determinism tests above).
+TEST(ShardedCluster, FourShardLifecycleRunsOnTheShardThreads) {
+  for (const bool hierarchical : {true, false}) {
+    core::ShardedClusterOptions options = small_options();
+    options.shards = 4;
+    options.hosts = 32;
+    options.duration = 40.0;
+    options.hierarchical = hierarchical;
+
+    std::vector<std::thread::id> builders(4);
+    core::ShardedCluster cluster(options, [&builders](std::size_t shard) {
+      builders[shard] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(builders[0], std::this_thread::get_id());
+    for (std::size_t shard = 1; shard < 4; ++shard) {
+      EXPECT_NE(builders[shard], builders[0]);
+    }
+    EXPECT_EQ(cluster.build_split().size(), 4u);
+
+    const core::ShardedClusterReport report = cluster.run();
+    EXPECT_EQ(report.registered_hosts, options.hosts);
+    const auto stats = cluster.group().stats();
+    ASSERT_EQ(stats.size(), 4u);
+    for (const auto& shard : stats) {
+      EXPECT_EQ(shard.epochs, report.epochs);
+    }
+    EXPECT_EQ(cluster.teardown().size(), 4u);
+    EXPECT_TRUE(cluster.teardown().empty());  // already torn down
+  }
+}
+
+// A shard whose build throws must not hang the other shards or leak what
+// they built (the ASan job's leak checker covers the second half).
+TEST(ShardedCluster, BuildFailureOnOneShardSurfacesFromTheConstructor) {
+  core::ShardedClusterOptions options = small_options();
+  options.shards = 4;
+  options.hosts = 32;
+  std::vector<int> built(4, 0);
+  EXPECT_THROW(
+      core::ShardedCluster(options,
+                           [&built](std::size_t shard) {
+                             built[shard] = 1;
+                             if (shard == 1) {
+                               throw std::runtime_error("shard 1 build");
+                             }
+                           }),
+      std::runtime_error);
+  EXPECT_EQ(built, (std::vector<int>{1, 1, 1, 1}));
+
+  options.shards = 1;  // the inline path fails the same way
+  EXPECT_THROW(core::ShardedCluster(options,
+                                    [](std::size_t) {
+                                      throw std::runtime_error("inline");
+                                    }),
+               std::runtime_error);
+}
+
 TEST(ShardedClusterPlan, ParsesOverridesAndIgnoresUnknownKeys) {
   const std::string text = R"({
     "name": "huge", "hosts": 1000, "shards": 8, "duration": 30.5,
@@ -170,6 +234,34 @@ TEST(ShardedClusterPlan, RejectsMalformedPlans) {
   EXPECT_FALSE(core::load_cluster_plan("[1,2]").has_value());
   EXPECT_FALSE(core::load_cluster_plan(R"({"shards": 0})").has_value());
   EXPECT_FALSE(core::load_cluster_plan(R"({"hosts": 0})").has_value());
+
+  // Integer fields reject non-integral and out-of-range numbers instead of
+  // casting them (parse only: a cluster is never built from these).
+  const auto error_code = [](const char* text) {
+    const auto loaded = core::load_cluster_plan(text);
+    return loaded.has_value() ? std::string("accepted") : loaded.error().code;
+  };
+  EXPECT_EQ(error_code(R"({"shards": 1e300})"), "plan.shards");
+  EXPECT_EQ(error_code(R"({"shards": 2.5})"), "plan.shards");
+  EXPECT_EQ(error_code(R"({"hosts": 2.5})"), "plan.hosts");
+  EXPECT_EQ(error_code(R"({"hosts": 3000000000})"), "plan.hosts");
+  EXPECT_EQ(error_code(R"({"crash_hosts": -1})"), "plan.crash_hosts");
+  EXPECT_EQ(error_code(R"({"crash_hosts": 0.5})"), "plan.crash_hosts");
+  EXPECT_EQ(error_code(R"({"trace_capacity": -1})"), "plan.trace_capacity");
+  EXPECT_EQ(error_code(R"({"trace_capacity": 1e300})"),
+            "plan.trace_capacity");
+  EXPECT_EQ(error_code(R"({"seed": -1})"), "plan.seed");
+  EXPECT_EQ(error_code(R"({"seed": 1.5})"), "plan.seed");
+  EXPECT_EQ(error_code(R"({"seed": 1e20})"), "plan.seed");
+
+  // Whole numbers at the edges of their fields still parse.
+  const auto edges = core::load_cluster_plan(
+      R"({"seed": 9007199254740992, "crash_hosts": 0, "trace_capacity": 0,
+          "hosts": 2147483647})");
+  ASSERT_TRUE(edges.has_value()) << edges.error().to_string();
+  EXPECT_EQ(edges.value().seed, 9007199254740992u);
+  EXPECT_EQ(edges.value().trace_capacity, 0u);
+  EXPECT_EQ(edges.value().hosts, 2147483647);
 }
 
 TEST(ShardedClusterPlan, DefaultsSurviveAnEmptyPlan) {

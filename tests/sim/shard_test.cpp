@@ -1,4 +1,4 @@
-// ShardGroup (ISSUE 7): conservative multi-threaded epochs over per-shard
+// ShardGroup: conservative multi-threaded epochs over per-shard
 // engines.  The properties pinned here are the ones the sharded runtime
 // builds on: the one-shard path is plain Engine::run_until (no threads), the
 // cross-shard merge order is (timestamp, source shard, sequence), posts obey
@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <cmath>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ars/sim/shard.hpp"
@@ -120,55 +124,104 @@ TEST(ShardGroup, PingPongAcrossShardsAdvancesInLookaheadEpochs) {
   EXPECT_EQ(group.cross_events(), 40U);
 }
 
-TEST(ShardGroup, FixedShardCountReplaysByteIdentically) {
-  const auto run_once = [] {
-    ShardGroup group{4, {.lookahead = kLookahead}};
-    auto logs = std::make_shared<Logs>(4);
-    // Each shard runs a periodic local tick and fans a post out to every
-    // other shard with per-source timing, so the merged log exercises
-    // same-timestamp collisions from distinct sources.
-    for (std::size_t shard = 0; shard < 4; ++shard) {
-      struct Ticker {
-        ShardGroup* group;
-        std::shared_ptr<Logs> logs;
-        std::size_t shard;
-        void tick(int remaining) const {
-          logs->record(*group, shard, "tick");
-          for (std::size_t dst = 0; dst < 4; ++dst) {
-            if (dst == shard) {
-              continue;
-            }
-            Ticker self = *this;
-            group->post(shard, dst,
-                        group->engine(shard).now() + kLookahead * 2,
-                        [self, dst] {
-                          self.logs->record(*self.group, dst,
-                                            "from" + std::to_string(self.shard));
-                        });
+/// Four shards of periodic tickers, each fanning a post out to every other
+/// shard: returns the merged execution log plus event and cross counts.
+std::string ticker_timeline() {
+  ShardGroup group{4, {.lookahead = kLookahead}};
+  auto logs = std::make_shared<Logs>(4);
+  // Each shard runs a periodic local tick and fans a post out to every
+  // other shard with per-source timing, so the merged log exercises
+  // same-timestamp collisions from distinct sources.
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    struct Ticker {
+      ShardGroup* group;
+      std::shared_ptr<Logs> logs;
+      std::size_t shard;
+      void tick(int remaining) const {
+        logs->record(*group, shard, "tick");
+        for (std::size_t dst = 0; dst < 4; ++dst) {
+          if (dst == shard) {
+            continue;
           }
-          if (remaining > 0) {
-            Ticker self = *this;
-            group->engine(shard).schedule_after(
-                0.0103 + 0.001 * static_cast<double>(shard),
-                [self, remaining] { self.tick(remaining - 1); });
-          }
+          Ticker self = *this;
+          group->post(shard, dst,
+                      group->engine(shard).now() + kLookahead * 2,
+                      [self, dst] {
+                        self.logs->record(*self.group, dst,
+                                          "from" + std::to_string(self.shard));
+                      });
         }
-      };
-      Ticker ticker{&group, logs, shard};
-      group.engine(shard).schedule_at(0.0, [ticker] { ticker.tick(12); });
-    }
-    group.run_until(0.5);
-    return logs->merged() + "events=" +
-           std::to_string(group.events_executed()) +
-           " cross=" + std::to_string(group.cross_events());
-  };
+        if (remaining > 0) {
+          Ticker self = *this;
+          group->engine(shard).schedule_after(
+              0.0103 + 0.001 * static_cast<double>(shard),
+              [self, remaining] { self.tick(remaining - 1); });
+        }
+      }
+    };
+    Ticker ticker{&group, logs, shard};
+    group.engine(shard).schedule_at(0.0, [ticker] { ticker.tick(12); });
+  }
+  group.run_until(0.5);
+  return logs->merged() + "events=" +
+         std::to_string(group.events_executed()) +
+         " cross=" + std::to_string(group.cross_events());
+}
 
-  const std::string first = run_once();
-  const std::string second = run_once();
+TEST(ShardGroup, FixedShardCountReplaysByteIdentically) {
+  const std::string first = ticker_timeline();
+  const std::string second = ticker_timeline();
   EXPECT_GT(first.size(), 100U);
   EXPECT_EQ(first, second)
       << "same shard count, different merged timeline: the cross-shard "
          "merge is not deterministic";
+}
+
+/// Pins the calling thread (and the threads it starts) to one CPU of its
+/// current affinity set; restores the original set on destruction.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    CPU_ZERO(&saved_);
+    pinned_ = sched_getaffinity(0, sizeof saved_, &saved_) == 0;
+    if (!pinned_) {
+      return;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
+  }
+  ~PinToOneCpu() {
+    if (pinned_) {
+      sched_setaffinity(0, sizeof saved_, &saved_);
+    }
+  }
+  PinToOneCpu(const PinToOneCpu&) = delete;
+  PinToOneCpu& operator=(const PinToOneCpu&) = delete;
+  [[nodiscard]] bool pinned() const noexcept { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
+
+TEST(ShardGroup, PinnedToOneCpuParksAndReplaysTheUnpinnedRun) {
+  const std::string unpinned = ticker_timeline();
+  std::string pinned;
+  {
+    PinToOneCpu pin;
+    ASSERT_TRUE(pin.pinned());
+    ShardGroup probe{4, {.lookahead = kLookahead}};
+    EXPECT_FALSE(probe.spins()) << "one CPU for four shards must park";
+    pinned = ticker_timeline();
+  }
+  EXPECT_EQ(pinned, unpinned);
 }
 
 TEST(ShardGroup, RepeatedRunUntilWindowsCompose) {
@@ -179,10 +232,19 @@ TEST(ShardGroup, RepeatedRunUntilWindowsCompose) {
     group.post(0, 1, 0.2 + kLookahead, [&fired] { ++fired; });
   });
   group.engine(1).schedule_at(0.9, [&fired] { ++fired; });
+  // A post made in the last epoch of the first window (at its end, 0.5)
+  // lands after that window and must arrive exactly once, in the next.
+  int late = 0;
+  group.engine(0).schedule_at(0.5, [&group, &late] {
+    group.post(0, 1, 0.5 + kLookahead, [&late] { ++late; });
+  });
   group.run_until(0.5);
   EXPECT_EQ(fired, 2);
+  EXPECT_EQ(late, 0);
   group.run_until(1.0);
   EXPECT_EQ(fired, 3);
+  EXPECT_EQ(late, 1);
+  EXPECT_EQ(group.cross_events(), 2U);
   EXPECT_DOUBLE_EQ(group.engine(0).now(), 1.0);
   EXPECT_DOUBLE_EQ(group.engine(1).now(), 1.0);
 }
@@ -227,6 +289,68 @@ TEST(ShardGroup, ConcurrentStressStaysCoherent) {
     EXPECT_EQ(remote[shard], 501U);
   }
   EXPECT_EQ(group.cross_events(), 4U * 501U);
+}
+
+TEST(ShardGroup, ForEachShardRunsOnShardThreadsAndRethrows) {
+  ShardGroup group{4, {.lookahead = kLookahead}};
+  std::vector<std::thread::id> ids(4);
+  const auto splits = group.for_each_shard(
+      [&ids](std::size_t shard) { ids[shard] = std::this_thread::get_id(); });
+  ASSERT_EQ(splits.size(), 4U);
+  EXPECT_EQ(ids[0], std::this_thread::get_id());  // shard 0: the caller
+  for (std::size_t a = 0; a < 4; ++a) {
+    for (std::size_t b = a + 1; b < 4; ++b) {
+      EXPECT_NE(ids[a], ids[b]);
+    }
+  }
+
+  // Shards 1 and 3 throw; every body still finishes, and the lowest
+  // throwing shard's exception reaches the caller.
+  std::vector<int> ran(4, 0);
+  try {
+    group.for_each_shard([&ran](std::size_t shard) {
+      ran[shard] = 1;
+      if (shard % 2 == 1) {
+        throw std::runtime_error("shard " + std::to_string(shard));
+      }
+    });
+    ADD_FAILURE() << "for_each_shard swallowed the exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "shard 1");
+  }
+  EXPECT_EQ(ran, (std::vector<int>{1, 1, 1, 1}));
+
+  // The group is still usable: the same threads run the next epochs.
+  int fired = 0;
+  group.engine(0).schedule_at(0.1, [&group, &fired] {
+    group.post(0, 2, 0.1 + kLookahead, [&fired] { ++fired; });
+  });
+  group.run_until(1.0);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(ShardGroup, StatsSplitEveryShardsBusyAndWaitTime) {
+  ShardGroup group{2, {.lookahead = kLookahead}};
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    for (int i = 0; i < 50; ++i) {
+      const double at = 0.01 * i + 0.001 * static_cast<double>(shard);
+      group.engine(shard).schedule_at(at, [&group, shard, at] {
+        group.post(shard, 1 - shard, at + kLookahead, [] {});
+      });
+    }
+  }
+  group.run_until(1.0);
+  const auto stats = group.stats();
+  ASSERT_EQ(stats.size(), 2U);
+  std::uint64_t cross = 0;
+  for (const auto& shard : stats) {
+    EXPECT_EQ(shard.epochs, group.epochs());
+    EXPECT_GT(shard.run.busy_s, 0.0);
+    EXPECT_GE(shard.run.wait_s, 0.0);
+    cross += shard.cross_in;
+  }
+  EXPECT_EQ(cross, group.cross_events());
+  EXPECT_EQ(cross, 100U);
 }
 
 TEST(EngineNextEventAt, PeeksEarliestLiveEvent) {
