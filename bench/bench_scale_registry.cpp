@@ -232,11 +232,9 @@ void sharded_cluster_bench(benchmark::State& state, int hosts,
   sim::ShardGroup::Split build;
   sim::ShardGroup::Split teardown;
   const auto add = [](sim::ShardGroup::Split& sum,
-                      const std::vector<sim::ShardGroup::Split>& splits) {
-    for (const sim::ShardGroup::Split& split : splits) {
-      sum.busy_s += split.busy_s;
-      sum.wait_s += split.wait_s;
-    }
+                      const sim::ShardGroup::Split& split) {
+    sum.busy_s += split.busy_s;
+    sum.wait_s += split.wait_s;
   };
   for (auto _ : state) {
     core::ShardedCluster cluster(options);
@@ -245,11 +243,14 @@ void sharded_cluster_bench(benchmark::State& state, int hosts,
     cross += report.cross_messages;
     benchmark::DoNotOptimize(report.registered_hosts);
     for (const auto& shard : cluster.group().stats()) {
-      run.busy_s += shard.run.busy_s;
-      run.wait_s += shard.run.wait_s;
+      add(run, shard.run);
     }
-    add(build, cluster.build_split());
-    add(teardown, cluster.teardown());
+    for (const auto& split : cluster.build_split()) {
+      add(build, split);
+    }
+    for (const auto& split : cluster.teardown()) {
+      add(teardown, split);
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["hosts"] = options.hosts;

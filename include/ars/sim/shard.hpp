@@ -181,7 +181,7 @@ class ShardGroup {
   bool arrive(bool epoch);
   [[nodiscard]] std::uint32_t await_phase(std::uint32_t phase) const;
   /// Fold every shard's current-call timing into its split.
-  void close_job(bool epoch, Clock::time_point end);
+  void close_job(bool epoch);
   void run_window(std::size_t shard);
   void run_call(std::size_t shard, const std::function<void(std::size_t)>& fn);
   /// Hand the workers a job: one for_each_shard body, or (nullptr) a

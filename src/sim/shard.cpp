@@ -151,7 +151,7 @@ bool ShardGroup::arrive(bool epoch) {
   arrived_.store(0, std::memory_order_relaxed);
   const bool done = !epoch || !plan_epoch();
   if (done) {
-    close_job(epoch, Clock::now());
+    close_job(epoch);
   }
   phase_.store((phase & ~1U) + 2U + (done ? 1U : 0U),
                std::memory_order_release);
@@ -177,7 +177,8 @@ std::uint32_t ShardGroup::await_phase(std::uint32_t phase) const {
   return phase_.load(std::memory_order_acquire);
 }
 
-void ShardGroup::close_job(bool epoch, Clock::time_point end) {
+void ShardGroup::close_job(bool epoch) {
+  const Clock::time_point end = Clock::now();
   for (const auto& state : shards_) {
     const Clock::duration wait = end - state->job_start - state->job_busy;
     if (epoch) {
