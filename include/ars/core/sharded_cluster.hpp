@@ -116,8 +116,9 @@ class ShardedCluster {
   /// like any other build failure.
   using ShardHook = std::function<void(std::size_t shard)>;
 
-  /// Builds every shard in parallel.  If any shard's build throws, the
-  /// shards already built are destroyed and the exception propagates.
+  /// Builds every shard in parallel.  If any shard's build throws, or the
+  /// shard threads cannot start (std::system_error), the shards already
+  /// built are destroyed and the exception propagates.
   explicit ShardedCluster(ShardedClusterOptions options,
                           const ShardHook& after_build = {});
   ~ShardedCluster();
@@ -132,12 +133,15 @@ class ShardedCluster {
     return options_;
   }
   [[nodiscard]] sim::ShardGroup& group() noexcept { return group_; }
-  [[nodiscard]] net::ShardRouter& router() noexcept { return *router_; }
+  [[nodiscard]] net::ShardRouter& router() {
+    built(0, "router");
+    return *router_;
+  }
   [[nodiscard]] net::Network& network(std::size_t shard) {
-    return *shards_.at(shard)->net;
+    return *built(shard, "network").net;
   }
   [[nodiscard]] obs::Tracer& tracer(std::size_t shard) {
-    return *shards_.at(shard)->tracer;
+    return *built(shard, "tracer").tracer;
   }
   /// The root registry ("root" host, shard 0).
   [[nodiscard]] registry::Registry& root_registry();
@@ -150,9 +154,11 @@ class ShardedCluster {
       const noexcept {
     return build_split_;
   }
-  /// Destroy every shard on its own thread and return the per-shard split;
-  /// the destructor does this if it was not done.  Afterwards only
-  /// options() and group() may be used.
+  /// Destroy every shard on its own thread and return the per-shard split
+  /// (empty if the shard threads could not start and the shards were
+  /// destroyed on this one); the destructor does this if it was not done.
+  /// Afterwards only options(), group() and build_split() may be used: the
+  /// other accessors and run() throw std::logic_error.
   std::vector<sim::ShardGroup::Split> teardown();
 
  private:
@@ -203,6 +209,8 @@ class ShardedCluster {
   };
 
   void build_shard(std::size_t shard);
+  /// The shard's state; std::logic_error naming `caller` after teardown().
+  Shard& built(std::size_t shard, const char* caller);
 
   ShardedClusterOptions options_;
   sim::ShardGroup group_;

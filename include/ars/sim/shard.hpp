@@ -25,8 +25,9 @@
 //
 // Waiting at the barrier spins (with a CPU pause) for a short bounded time
 // and then parks on the barrier's phase word.  Spinning only pays when every
-// shard has a CPU of its own, so a group spins only if the process's CPU
-// affinity set holds at least one CPU per shard; otherwise it parks at once.
+// shard has a CPU of its own, so a group spins only if usable_cpus() -- the
+// process's CPU affinity set, capped by its cgroup's CPU quota -- is at
+// least the shard count; otherwise it parks at once.
 //
 // Threading contract:
 //   * shard s's engine (and everything hanging off it — hosts, networks,
@@ -35,7 +36,9 @@
 //     thread while no run_until/for_each_shard call is in flight;
 //   * shard 0's thread is the coordinating thread; shards 1..N-1 get
 //     worker threads, started by the first multi-shard run_until or
-//     for_each_shard call and parked on a condition variable between calls;
+//     for_each_shard call and parked on a condition variable between calls.
+//     They start all or none: if one cannot start, the call throws with no
+//     worker left running, and the next call tries again;
 //   * post(src, ...) may be called from shard src's thread during an epoch,
 //     or from the coordinating thread outside run_until (setup posts are
 //     flushed before the first epoch);
@@ -50,12 +53,26 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ars/sim/engine.hpp"
 
 namespace ars::sim {
+
+/// CPUs this process may keep busy at once: its CPU affinity set, capped by
+/// the tightest CFS quota (cgroup v2 cpu.max, v1 cpu.cfs_quota_us) on its
+/// cgroup or an ancestor, rounded up.  A quota-limited container sees every
+/// host CPU in its affinity set, so the affinity count alone overstates it.
+[[nodiscard]] std::size_t usable_cpus();
+
+/// The tightest CFS quota, in CPUs (rounded up), on the cgroup that
+/// `cgroup_list` (a /proc/<pid>/cgroup file) names or any ancestor, with the
+/// cgroup hierarchy mounted at `mount` (v1 controllers under `mount`/cpu);
+/// 0 when no level sets one or nothing can be read.
+[[nodiscard]] std::size_t cgroup_quota_cpus(const std::string& cgroup_list,
+                                            const std::string& mount);
 
 class ShardGroup {
  public:
@@ -124,7 +141,12 @@ class ShardGroup {
   [[nodiscard]] std::vector<ShardStats> stats() const;
   /// True once worker threads exist.
   [[nodiscard]] bool threaded() const noexcept { return !workers_.empty(); }
-  /// True if barrier waiters spin before parking (one CPU per shard).
+
+  /// Test seam: while `shard` is non-zero, starting that shard's worker
+  /// thread throws std::system_error, as std::thread does when the process
+  /// is out of threads.  Process-wide; pass 0 to turn it off.
+  static void fail_worker_start_for_testing(std::size_t shard) noexcept;
+  /// True if barrier waiters spin before parking: usable_cpus() >= size().
   [[nodiscard]] bool spins() const noexcept { return spin_; }
 
  private:
@@ -184,10 +206,15 @@ class ShardGroup {
   void close_job(bool epoch);
   void run_window(std::size_t shard);
   void run_call(std::size_t shard, const std::function<void(std::size_t)>& fn);
-  /// Hand the workers a job: one for_each_shard body, or (nullptr) a
-  /// window of epochs.
+  /// Hand the (started) workers a job: one for_each_shard body, or
+  /// (nullptr) a window of epochs.
   void start_job(const std::function<void(std::size_t)>* call);
-  void worker_main(std::size_t shard);
+  /// Start shards 1..N-1's threads.  All or none: if one fails to start,
+  /// the ones already running are stopped and the error re-thrown.
+  void start_workers();
+  void stop_workers() noexcept;
+  /// A worker's loop; `seen_round` is the job round it was started after.
+  void worker_main(std::size_t shard, std::uint64_t seen_round);
 
   Options options_;
   std::vector<std::unique_ptr<ShardState>> shards_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <type_traits>
 
 #include "ars/obs/json.hpp"
@@ -78,15 +79,34 @@ std::vector<sim::ShardGroup::Split> ShardedCluster::teardown() {
     return {};
   }
   router_.reset();  // unhooks every network
-  auto split = group_.for_each_shard([this](std::size_t shard) {
+  const auto destroy = [this](std::size_t shard) {
     std::unique_ptr<Shard>& state = shards_[shard];
     if (state != nullptr && state->net != nullptr) {
       state->net->set_fault_policy(nullptr);
     }
     state.reset();
-  });
+  };
+  std::vector<sim::ShardGroup::Split> split;
+  try {
+    split = group_.for_each_shard(destroy);
+  } catch (const std::system_error&) {
+    // The shard threads could not start (which is how the constructor got
+    // here, say): with no worker running, destroy every shard right here.
+    for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+      destroy(shard);
+    }
+  }
   shards_.clear();
   return split;
+}
+
+ShardedCluster::Shard& ShardedCluster::built(std::size_t shard,
+                                             const char* caller) {
+  if (shards_.empty()) {
+    throw std::logic_error(std::string("ShardedCluster::") + caller +
+                           ": the cluster was torn down");
+  }
+  return *shards_.at(shard);
 }
 
 void ShardedCluster::build_shard(std::size_t shard) {
@@ -235,12 +255,12 @@ void ShardedCluster::build_shard(std::size_t shard) {
 }
 
 registry::Registry& ShardedCluster::root_registry() {
-  Shard& shard0 = *shards_.front();
+  Shard& shard0 = built(0, "root_registry");
   return shard0.root != nullptr ? *shard0.root : *shard0.registry;
 }
 
 registry::Registry& ShardedCluster::shard_registry(std::size_t shard) {
-  Shard& state = *shards_.at(shard);
+  Shard& state = built(shard, "shard_registry");
   if (state.registry != nullptr) {
     return *state.registry;
   }
@@ -251,6 +271,7 @@ ShardedClusterReport ShardedCluster::run() {
   if (ran_) {
     throw std::logic_error("ShardedCluster::run: call at most once");
   }
+  built(0, "run");
   ran_ = true;
   group_.run_until(options_.duration);
 

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <tuple>
 
 #ifdef __linux__
@@ -27,8 +31,16 @@ void cpu_relax() noexcept {
 #endif
 }
 
-/// CPUs this process may run on (its affinity set), not the machine's.
-std::size_t usable_cpus() {
+/// CPUs a CFS quota of `quota` per `period` grants, rounded up; 0 when no
+/// quota is set or the period is not positive.
+std::size_t cpus_from_quota(long long quota, long long period) noexcept {
+  if (quota <= 0 || period <= 0) {
+    return 0;
+  }
+  return static_cast<std::size_t>((quota + period - 1) / period);
+}
+
+std::size_t affinity_cpus() {
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
@@ -39,12 +51,77 @@ std::size_t usable_cpus() {
   return std::max(1U, std::thread::hardware_concurrency());
 }
 
+/// The CFS quota of one cgroup directory, in CPUs; 0 when none is set (v2
+/// writes "max", v1 -1) or the files cannot be read.
+std::size_t dir_quota_cpus(const std::filesystem::path& dir, bool v2) {
+  long long quota = 0;  // a failed read leaves 0: no quota
+  long long period = 0;
+  if (v2) {
+    std::ifstream(dir / "cpu.max") >> quota >> period;  // "<quota> <period>"
+  } else {
+    std::ifstream(dir / "cpu.cfs_quota_us") >> quota;
+    std::ifstream(dir / "cpu.cfs_period_us") >> period;
+  }
+  return cpus_from_quota(quota, period);
+}
+
 template <typename Duration>
 double seconds(Duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
+/// See ShardGroup::fail_worker_start_for_testing; 0 = off.
+std::atomic<std::size_t> fail_worker_start{0};
+
 }  // namespace
+
+std::size_t cgroup_quota_cpus(const std::string& cgroup_list,
+                              const std::string& mount) {
+  std::ifstream self(cgroup_list);
+  std::size_t tightest = 0;
+  std::string line;
+  while (std::getline(self, line)) {
+    // "<id>:<controllers>:<path>"; the v2 hierarchy lists no controllers.
+    const std::size_t first = line.find(':');
+    const std::size_t second = line.find(':', first + 1);
+    if (first == std::string::npos || second == std::string::npos) {
+      continue;
+    }
+    const std::string controllers =
+        "," + line.substr(first + 1, second - first - 1) + ",";
+    const bool v2 = controllers == ",,";
+    if (!v2 && controllers.find(",cpu,") == std::string::npos) {
+      continue;
+    }
+    std::filesystem::path root = mount;
+    if (!v2) {
+      root /= "cpu";
+    }
+    for (std::filesystem::path dir = line.substr(second + 1);;
+         dir = dir.parent_path()) {
+      const std::size_t cpus = dir_quota_cpus(root / dir.relative_path(), v2);
+      if (cpus != 0 && (tightest == 0 || cpus < tightest)) {
+        tightest = cpus;
+      }
+      if (!dir.has_relative_path()) {
+        break;
+      }
+    }
+  }
+  return tightest;
+}
+
+std::size_t usable_cpus() {
+  const std::size_t cpus = affinity_cpus();
+  // Inside a container the cgroup mount's root is its own cgroup.
+  const std::size_t quota =
+      cgroup_quota_cpus("/proc/self/cgroup", "/sys/fs/cgroup");
+  return quota != 0 ? std::min(cpus, quota) : cpus;
+}
+
+void ShardGroup::fail_worker_start_for_testing(std::size_t shard) noexcept {
+  fail_worker_start.store(shard, std::memory_order_relaxed);
+}
 
 ShardGroup::ShardGroup(std::size_t shards) : ShardGroup(shards, Options{}) {}
 
@@ -64,17 +141,42 @@ ShardGroup::ShardGroup(std::size_t shards, Options options)
   spin_ = shards > 1 && usable_cpus() >= shards;
 }
 
-ShardGroup::~ShardGroup() {
-  if (!workers_.empty()) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      exit_ = true;
+ShardGroup::~ShardGroup() { stop_workers(); }
+
+void ShardGroup::start_workers() {
+  workers_.reserve(shards_.size() - 1);
+  try {
+    for (std::size_t shard = 1; shard < shards_.size(); ++shard) {
+      if (shard == fail_worker_start.load(std::memory_order_relaxed)) {
+        throw std::system_error(
+            std::make_error_code(std::errc::resource_unavailable_try_again),
+            "ShardGroup: worker thread did not start");
+      }
+      workers_.emplace_back(
+          [this, shard, round = job_round_] { worker_main(shard, round); });
     }
-    job_start_.notify_all();
-    for (std::thread& worker : workers_) {
-      worker.join();
-    }
+  } catch (...) {
+    // A partial set of workers would leave every barrier one arrival
+    // short; stop them all so the next call starts from none.
+    stop_workers();
+    throw;
   }
+}
+
+void ShardGroup::stop_workers() noexcept {
+  if (workers_.empty()) {
+    return;
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    exit_ = true;
+  }
+  job_start_.notify_all();
+  for (std::thread& worker : workers_) {
+    worker.join();
+  }
+  workers_.clear();
+  exit_ = false;
 }
 
 void ShardGroup::post(std::size_t src, std::size_t dst, SimTime at,
@@ -220,8 +322,7 @@ void ShardGroup::run_call(std::size_t shard,
   arrive(/*epoch=*/false);
 }
 
-void ShardGroup::worker_main(std::size_t shard) {
-  std::uint64_t seen_round = 0;
+void ShardGroup::worker_main(std::size_t shard, std::uint64_t seen_round) {
   for (;;) {
     const std::function<void(std::size_t)>* call = nullptr;
     {
@@ -243,12 +344,6 @@ void ShardGroup::worker_main(std::size_t shard) {
 }
 
 void ShardGroup::start_job(const std::function<void(std::size_t)>* call) {
-  if (workers_.empty()) {
-    workers_.reserve(shards_.size() - 1);
-    for (std::size_t shard = 1; shard < shards_.size(); ++shard) {
-      workers_.emplace_back([this, shard] { worker_main(shard); });
-    }
-  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     job_ = call;
@@ -273,6 +368,9 @@ std::size_t ShardGroup::run_until(SimTime until) {
   // Setup-time posts (wiring done before the run) are merged here, on the
   // coordinating thread, in the same deterministic order as epoch merges;
   // later epochs are planned by the barrier's completion step.
+  if (workers_.empty()) {
+    start_workers();  // before the merge, so a failed start changes nothing
+  }
   until_ = until;
   if (plan_epoch()) {
     start_job(nullptr);
@@ -295,6 +393,9 @@ std::vector<ShardGroup::Split> ShardGroup::for_each_shard(
     const Clock::time_point start = Clock::now();
     fn(0);
     return {Split{seconds(Clock::now() - start), 0.0}};
+  }
+  if (workers_.empty()) {
+    start_workers();
   }
   start_job(&fn);
   run_call(/*shard=*/0, fn);

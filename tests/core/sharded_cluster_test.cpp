@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -173,6 +175,11 @@ TEST(ShardedCluster, FourShardLifecycleRunsOnTheShardThreads) {
     }
     EXPECT_EQ(cluster.teardown().size(), 4u);
     EXPECT_TRUE(cluster.teardown().empty());  // already torn down
+    EXPECT_THROW(cluster.run(), std::logic_error);
+    EXPECT_THROW((void)cluster.root_registry(), std::logic_error);
+    EXPECT_THROW((void)cluster.shard_registry(1), std::logic_error);
+    EXPECT_THROW((void)cluster.router(), std::logic_error);
+    EXPECT_THROW((void)cluster.network(0), std::logic_error);
   }
 }
 
@@ -193,6 +200,16 @@ TEST(ShardedCluster, BuildFailureOnOneShardSurfacesFromTheConstructor) {
                            }),
       std::runtime_error);
   EXPECT_EQ(built, (std::vector<int>{1, 1, 1, 1}));
+
+  // The shard threads cannot start: the constructor throws instead of
+  // waiting for them, and no shard body ran.
+  std::fill(built.begin(), built.end(), 0);
+  sim::ShardGroup::fail_worker_start_for_testing(2);
+  EXPECT_THROW(core::ShardedCluster(
+                   options, [&built](std::size_t shard) { built[shard] = 1; }),
+               std::system_error);
+  sim::ShardGroup::fail_worker_start_for_testing(0);
+  EXPECT_EQ(built, (std::vector<int>{0, 0, 0, 0}));
 
   options.shards = 1;  // the inline path fails the same way
   EXPECT_THROW(core::ShardedCluster(options,

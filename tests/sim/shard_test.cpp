@@ -8,9 +8,13 @@
 
 #include <sched.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -224,6 +228,54 @@ TEST(ShardGroup, PinnedToOneCpuParksAndReplaysTheUnpinnedRun) {
   EXPECT_EQ(pinned, unpinned);
 }
 
+// Writes `text` to `path`, creating its directories.
+void write_file(const std::filesystem::path& path, const std::string& text) {
+  std::filesystem::create_directories(path.parent_path());
+  std::ofstream(path) << text;
+}
+
+// A CFS quota caps the CPUs a group may spin on: a container limited to two
+// CPUs' worth of time still lists every host CPU in its affinity set.  The
+// cgroup listing and hierarchy here are a fake tree in a scratch directory.
+TEST(ShardGroup, CgroupQuotaCapsTheCpusAGroupSpinsOn) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "shard_cgroup_quota";
+  std::filesystem::remove_all(root);
+  const std::string mount = (root / "fs").string();
+  const std::string list = (root / "cgroup").string();
+  const auto quota = [&](const std::string& listing) {
+    write_file(list, listing);
+    return cgroup_quota_cpus(list, mount);
+  };
+
+  // cgroup v2: the tightest level wins, "max" sets none, quotas round up.
+  write_file(root / "fs/job/cpu.max", "250000 100000\n");
+  write_file(root / "fs/job/step/cpu.max", "max 100000\n");
+  EXPECT_EQ(quota("0::/job/step\n"), 3U);
+  write_file(root / "fs/job/step/cpu.max", "100000 100000\n");
+  EXPECT_EQ(quota("0::/job/step\n"), 1U);
+  EXPECT_EQ(quota("0::/\n"), 0U);  // the root has no cpu.max
+
+  // cgroup v1: the cpu controller's hierarchy, -1 sets none.
+  write_file(root / "fs/cpu/ctr/cpu.cfs_quota_us", "200000\n");
+  write_file(root / "fs/cpu/ctr/cpu.cfs_period_us", "100000\n");
+  EXPECT_EQ(quota("4:memory:/ctr\n3:cpu,cpuacct:/ctr\n"), 2U);
+  EXPECT_EQ(quota("4:memory:/ctr\n"), 0U);  // no cpu controller listed
+  write_file(root / "fs/cpu/ctr/cpu.cfs_quota_us", "-1\n");
+  EXPECT_EQ(quota("3:cpu:/ctr\n"), 0U);
+
+  EXPECT_EQ(cgroup_quota_cpus((root / "missing").string(), mount), 0U);
+  std::filesystem::remove_all(root);
+
+  // The rule itself, on this machine.
+  const std::size_t cpus = usable_cpus();
+  ASSERT_GE(cpus, 1U);
+  for (const std::size_t shards : {1U, 2U, 4U, 64U}) {
+    const ShardGroup group{shards, {.lookahead = kLookahead}};
+    EXPECT_EQ(group.spins(), shards > 1 && cpus >= shards) << shards;
+  }
+}
+
 TEST(ShardGroup, RepeatedRunUntilWindowsCompose) {
   ShardGroup group{2, {.lookahead = kLookahead}};
   int fired = 0;
@@ -327,6 +379,48 @@ TEST(ShardGroup, ForEachShardRunsOnShardThreadsAndRethrows) {
   });
   group.run_until(1.0);
   EXPECT_EQ(fired, 1);
+}
+
+// Resets the worker-start seam however the test exits.
+struct FailWorkerStart {
+  explicit FailWorkerStart(std::size_t shard) {
+    ShardGroup::fail_worker_start_for_testing(shard);
+  }
+  ~FailWorkerStart() { ShardGroup::fail_worker_start_for_testing(0); }
+  FailWorkerStart(const FailWorkerStart&) = delete;
+  FailWorkerStart& operator=(const FailWorkerStart&) = delete;
+};
+
+// A worker that cannot start must not leave the others waiting at a barrier
+// one arrival short: the call throws with no worker running, changes
+// nothing, and the next call starts every worker afresh.
+TEST(ShardGroup, WorkerStartFailureLeavesNoWorkerAndRetries) {
+  ShardGroup group{4, {.lookahead = kLookahead}};
+  int fired = 0;
+  group.post(0, 3, 0.5, [&fired] { ++fired; });  // a setup post
+  {
+    const FailWorkerStart fail{3};  // shards 1 and 2 start, 3 does not
+    std::vector<int> ran(4, 0);
+    EXPECT_THROW(
+        group.for_each_shard([&ran](std::size_t shard) { ran[shard] = 1; }),
+        std::system_error);
+    EXPECT_EQ(ran, (std::vector<int>{0, 0, 0, 0}));
+    EXPECT_FALSE(group.threaded());
+    EXPECT_THROW(group.run_until(1.0), std::system_error);
+    EXPECT_FALSE(group.threaded());
+    EXPECT_EQ(group.epochs(), 0U);
+    EXPECT_EQ(group.cross_events(), 0U);  // the setup post is still queued
+  }
+  std::vector<std::thread::id> ids(4);
+  group.for_each_shard(
+      [&ids](std::size_t shard) { ids[shard] = std::this_thread::get_id(); });
+  EXPECT_TRUE(group.threaded());
+  for (std::size_t shard = 1; shard < 4; ++shard) {
+    EXPECT_NE(ids[shard], ids[0]);
+  }
+  group.run_until(1.0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(group.cross_events(), 1U);
 }
 
 TEST(ShardGroup, StatsSplitEveryShardsBusyAndWaitTime) {
